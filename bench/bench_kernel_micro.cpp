@@ -160,26 +160,25 @@ BENCHMARK(BM_SaturatedSimulation)
 
 void BM_PartitionedSaturatedSimulation(benchmark::State& state) {
   // The BM_SaturatedSimulation OptHybridSpeculative run under the
-  // partitioned kernel (8 per-tree lanes on the 8x8 MoT), at the worker
-  // count in Arg. Results are byte-identical to sequential for this
-  // workload (see kernel_determinism_test.cpp), so wall time is the only
-  // thing that varies.
+  // partitioned kernel: 8 per-tree partitions on the 8x8 MoT, built with
+  // sim_threads = Arg, so Arg execution lanes each run by one worker.
+  // Results are byte-identical to sequential for this workload (see
+  // kernel_determinism_test.cpp), so wall time is the only thing that
+  // varies.
   //
   // Wall time is honest but only meaningful when the host has as many free
   // cores as workers; `model_speedup` is the machine-independent number:
-  // total events / the largest per-worker event share under the static
-  // contiguous lane blocks workers execute (the per-window critical path,
-  // ignoring barrier cost). Arg 1 vs BM_SaturatedSimulation isolates the
-  // pure partitioning overhead (windowing + mailbox drains, no threads).
-  const auto workers = static_cast<std::uint32_t>(state.range(0));
+  // total events / the largest per-worker event share under the contiguous
+  // partition blocks the lanes run (the per-window critical path, ignoring
+  // barrier cost).
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
   double model_speedup = 0.0;
   for (auto _ : state) {
     core::NetworkConfig cfg;
-    cfg.sim_threads = 8;  // one lane per source tree
+    cfg.sim_threads = threads;
     core::MotNetwork net(core::Architecture::kOptHybridSpeculative, cfg);
-    net.net().set_worker_threads(workers);
     stats::TrafficRecorder rec(net.net().packets());
     net.net().hooks().traffic = &rec;
     auto pattern = traffic::make_benchmark(
@@ -193,33 +192,27 @@ void BM_PartitionedSaturatedSimulation(benchmark::State& state) {
     sim::PartitionedScheduler& psched = *net.net().partitioned_scheduler();
     events = psched.executed();
     windows = psched.windows();
-    const std::vector<std::uint64_t> lane_events =
+    const std::vector<std::uint64_t> partition_events =
         psched.per_lane_executed();
-    const std::uint32_t lanes = psched.lanes();
-    std::uint64_t max_share = 0;
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      const std::uint32_t first = w * lanes / workers;
-      const std::uint32_t last = (w + 1) * lanes / workers;
-      std::uint64_t share = 0;
-      for (std::uint32_t lane = first; lane < last; ++lane) {
-        share += lane_events[lane];
-      }
-      max_share = std::max(max_share, share);
+    std::vector<std::uint64_t> share(psched.execution_lanes(), 0);
+    for (std::uint32_t p = 0; p < psched.lanes(); ++p) {
+      share[psched.lane_of(p)] += partition_events[p];
     }
-    model_speedup =
-        static_cast<double>(events) / static_cast<double>(max_share);
+    model_speedup = static_cast<double>(events) /
+                    static_cast<double>(
+                        *std::max_element(share.begin(), share.end()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events));
   state.counters["windows"] =
       benchmark::Counter(static_cast<double>(windows));
   state.counters["model_speedup"] = benchmark::Counter(model_speedup);
-  state.SetLabel("1000 simulated ns per iteration, 8 lanes");
+  state.SetLabel("1000 simulated ns per iteration, 8 partitions");
 }
 BENCHMARK(BM_PartitionedSaturatedSimulation)
-    ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Arg(8)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 

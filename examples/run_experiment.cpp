@@ -95,12 +95,26 @@ Options parse(int argc, char** argv) {
   cli.add_string("--arch", &opts.arch, "architecture name (see --list)");
   cli.add_string("--bench", &opts.bench, "benchmark name (see --list)");
   cli.add_uint32("--n", &opts.n, "network radix");
-  cli.add_double("--fraction", &opts.fraction,
-                 "operating point as a fraction of saturation");
+  cli.add_custom("--fraction", "F",
+                 "operating point as a fraction of saturation, in (0, 1)",
+                 [&opts](const std::string& v) {
+                   const double fraction = util::parse_f64(v, "--fraction");
+                   if (!(fraction > 0.0 && fraction < 1.0)) {
+                     throw ConfigError("--fraction must lie in (0, 1), got " +
+                                       v);
+                   }
+                   opts.fraction = fraction;
+                 });
   cli.add_double("--rate", &opts.rate,
                  "explicit flits/ns/source (overrides --fraction)");
   cli.add_uint64("--seed", &opts.seed, "traffic seed");
-  cli.add_int64("--clock", &opts.clock, "clock period in ps (0 = async)");
+  cli.add_custom("--clock", "PS", "clock period in ps (0 = async)",
+                 [&opts](const std::string& v) {
+                   opts.clock = util::parse_i64(v, "--clock");
+                   if (opts.clock < 0) {
+                     throw ConfigError("--clock must be >= 0 ps, got " + v);
+                   }
+                 });
   cli.add_string("--trace", &opts.trace_path, "trace CSV path (trace mode)");
   cli.add_string("--perfetto", &opts.perfetto_path,
                  "Chrome-trace JSON path (trace mode; open in ui.perfetto.dev "

@@ -48,11 +48,12 @@ struct NetworkConfig {
   mot::LayoutConfig layout{};
 
   /// Worker threads for the conservative PDES kernel. 1 (default) keeps the
-  /// classic single-scheduler network; 0 means hardware concurrency. Any
-  /// value produces identical simulation results — see DESIGN.md §9.
+  /// classic single-scheduler network; 0 means hardware concurrency. The
+  /// partitions execute on one event queue per worker. Any value produces
+  /// identical simulation results — see DESIGN.md §9.
   unsigned sim_threads = 1;
 
-  /// How to map trees onto scheduler lanes when sim_threads != 1.
+  /// How to cut the network into partitions when sim_threads != 1.
   noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
 
   /// Per-kind overrides of the default node characteristics (tests and

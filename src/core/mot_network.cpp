@@ -56,17 +56,17 @@ void MotNetwork::build() {
   // single-scheduler network (byte-for-byte identical to pre-PDES builds);
   // a zero-latency wire model (wire_delay_ps_per_um == 0) has no usable
   // lookahead and also falls back to sequential execution.
-  std::uint32_t lanes = 1;
+  std::uint32_t partitions = 1;
   switch (config_.partition) {
     case noc::PartitionStrategy::kNone:
-      lanes = 1;
+      partitions = 1;
       break;
     case noc::PartitionStrategy::kAuto:
     case noc::PartitionStrategy::kTree:
-      lanes = n;
+      partitions = n;
       break;
     case noc::PartitionStrategy::kQuadrant:
-      lanes = std::min<std::uint32_t>(4, n);
+      partitions = std::min<std::uint32_t>(4, n);
       break;
     case noc::PartitionStrategy::kRows:
       throw ConfigError(
@@ -76,22 +76,22 @@ void MotNetwork::build() {
   const noc::ChannelParams middle_probe = layout_.middle_channel();
   const TimePs lookahead =
       std::min(middle_probe.delay_fwd, middle_probe.delay_ack);
-  if (config_.sim_threads == 1 || lookahead <= 0) lanes = 1;
-  net_.enable_partitions(lanes, lanes > 1 ? lookahead : 1);
-  net_.set_worker_threads(config_.sim_threads);
-  const std::uint32_t num_lanes = net_.partitions();
-  const auto lane_of = [n, num_lanes](std::uint32_t tree) {
-    return tree * num_lanes / n;
+  if (config_.sim_threads == 1 || lookahead <= 0) partitions = 1;
+  net_.enable_partitions(partitions, partitions > 1 ? lookahead : 1,
+                         config_.sim_threads);
+  const std::uint32_t num_partitions = net_.partitions();
+  const auto partition_of = [n, num_partitions](std::uint32_t tree) {
+    return tree * num_partitions / n;
   };
 
   // Network interfaces.
   for (std::uint32_t s = 0; s < n; ++s) {
-    net_.set_build_partition(lane_of(s));
+    net_.set_build_partition(partition_of(s));
     net_.register_source(net_.add_node<noc::SourceNode>(
         s, config_.source_issue_delay));
   }
   for (std::uint32_t d = 0; d < n; ++d) {
-    net_.set_build_partition(lane_of(d));
+    net_.set_build_partition(partition_of(d));
     net_.register_sink(net_.add_node<noc::SinkNode>(
         d, config_.sink_consume_delay));
   }
@@ -99,7 +99,7 @@ void MotNetwork::build() {
   // Fanout trees.
   fanout_.resize(n);
   for (std::uint32_t s = 0; s < n; ++s) {
-    net_.set_build_partition(lane_of(s));
+    net_.set_build_partition(partition_of(s));
     fanout_[s].resize(topology_.nodes_per_tree(), nullptr);
     for (std::uint32_t level = 0; level < levels; ++level) {
       for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
@@ -146,7 +146,7 @@ void MotNetwork::build() {
   auto fanin_chars = config_.chars_for(noc::NodeKind::kFanin);
   fanin_chars.clock_period = config_.clock_period;
   for (std::uint32_t d = 0; d < n; ++d) {
-    net_.set_build_partition(lane_of(d));
+    net_.set_build_partition(partition_of(d));
     fanin_[d].resize(topology_.nodes_per_tree(), nullptr);
     for (std::uint32_t level = 0; level < levels; ++level) {
       for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {

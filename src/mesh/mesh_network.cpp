@@ -56,17 +56,17 @@ void MeshNetwork::build() {
     }
   }
 
-  // Partition plan: one lane per router row. Only the vertical (south /
+  // Partition plan: one partition per router row. Only the vertical (south /
   // north) hop links cross rows, so one mesh hop is the conservative
-  // lookahead. Endpoint interfaces share their router's row lane.
-  std::uint32_t lanes = 1;
+  // lookahead. Endpoint interfaces share their router's row partition.
+  std::uint32_t partitions = 1;
   switch (config_.partition) {
     case noc::PartitionStrategy::kNone:
-      lanes = 1;
+      partitions = 1;
       break;
     case noc::PartitionStrategy::kAuto:
     case noc::PartitionStrategy::kRows:
-      lanes = config_.rows;
+      partitions = config_.rows;
       break;
     case noc::PartitionStrategy::kTree:
     case noc::PartitionStrategy::kQuadrant:
@@ -78,28 +78,27 @@ void MeshNetwork::build() {
   const auto hop_probe =
       link_params(config_.link_length_um, config_.wire_delay_ps_per_um);
   const TimePs lookahead = std::min(hop_probe.delay_fwd, hop_probe.delay_ack);
-  if (config_.sim_threads == 1 || lookahead <= 0) lanes = 1;
-  net_.enable_partitions(lanes, lookahead);
-  net_.set_worker_threads(config_.sim_threads);
-  const std::uint32_t num_lanes = net_.partitions();
-  const auto lane_of = [this, num_lanes](std::uint32_t id) {
-    return topology_.y_of(id) * num_lanes / config_.rows;
+  if (config_.sim_threads == 1 || lookahead <= 0) partitions = 1;
+  net_.enable_partitions(partitions, lookahead, config_.sim_threads);
+  const std::uint32_t num_partitions = net_.partitions();
+  const auto partition_of = [this, num_partitions](std::uint32_t id) {
+    return topology_.y_of(id) * num_partitions / config_.rows;
   };
 
   for (std::uint32_t s = 0; s < n; ++s) {
-    net_.set_build_partition(lane_of(s));
+    net_.set_build_partition(partition_of(s));
     net_.register_source(
         net_.add_node<noc::SourceNode>(s, config_.source_issue_delay));
   }
   for (std::uint32_t d = 0; d < n; ++d) {
-    net_.set_build_partition(lane_of(d));
+    net_.set_build_partition(partition_of(d));
     net_.register_sink(
         net_.add_node<noc::SinkNode>(d, config_.sink_consume_delay));
   }
 
   routers_.reserve(n);
   for (std::uint32_t id = 0; id < n; ++id) {
-    net_.set_build_partition(lane_of(id));
+    net_.set_build_partition(partition_of(id));
     std::string name = speculative(id) ? "sr" : "r";
     name += std::to_string(topology_.x_of(id));
     name += ',';

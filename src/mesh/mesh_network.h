@@ -45,7 +45,7 @@ struct MeshConfig {
   TimePs clock_period = 0;
 
   /// PDES worker threads (1 = classic single-scheduler network, 0 = auto)
-  /// and the row-band lane mapping; see core::NetworkConfig::sim_threads.
+  /// and the row-band partitioning; see core::NetworkConfig::sim_threads.
   unsigned sim_threads = 1;
   noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
 };

@@ -8,14 +8,13 @@
 
 namespace specnoc::noc {
 
-Channel::Channel(sim::Scheduler& scheduler, SimHooks& hooks,
+Channel::Channel(sim::SchedulerRef scheduler, SimHooks& hooks,
                  ChannelParams params, std::string name)
-    : scheduler_(scheduler), hooks_(hooks), params_(params),
-      name_(std::move(name)) {
+    : scheduler_(scheduler.scheduler()), hooks_(hooks), params_(params),
+      name_(std::move(name)), partition_(scheduler.tag()) {
   SPECNOC_EXPECTS(params_.delay_fwd >= 0 && params_.delay_ack >= 0);
   SPECNOC_EXPECTS(params_.capacity >= 1);
   queue_.reserve(params_.capacity);
-  down_sched_ = &scheduler_;
 }
 
 void Channel::connect(Node& up, std::uint32_t up_port, Node& down,
@@ -30,17 +29,13 @@ void Channel::connect(Node& up, std::uint32_t up_port, Node& down,
 }
 
 void Channel::make_cross_partition(sim::PartitionedScheduler& psched,
-                                   std::uint32_t up_lane,
-                                   std::uint32_t down_lane) {
+                                   std::uint32_t up, std::uint32_t down) {
   SPECNOC_EXPECTS(cross_ == nullptr && queue_.empty() && !send_outstanding_);
-  SPECNOC_EXPECTS(up_lane != down_lane);
-  cross_ = std::make_unique<CrossState>();
-  cross_->psched = &psched;
-  cross_->up_lane = up_lane;
-  cross_->down_lane = down_lane;
-  down_sched_ = &psched.lane(down_lane);
-  cross_->fwd_drain = psched.add_drain([this] { drain_forward(); });
-  cross_->credit_drain = psched.add_drain([this] { drain_credits(); });
+  SPECNOC_EXPECTS(up == partition_ && up != down);
+  cross_ = std::make_unique<CrossState>(psched, psched.lane(down));
+  cross_->fwd_drain = psched.add_drain(up, down, [this] { drain_forward(); });
+  cross_->credit_drain =
+      psched.add_drain(down, up, [this] { drain_credits(); });
 }
 
 std::uint32_t Channel::occupancy() const {
@@ -75,7 +70,7 @@ void Channel::send(const Flit& flit) {
 void Channel::send_cross(const Flit& flit) {
   const TimePs now = scheduler_.now();
   CrossState& x = *cross_;
-  if (x.fwd_box.empty()) x.psched->note_dirty(x.up_lane, x.fwd_drain);
+  if (x.fwd_box.empty()) x.psched->note_dirty(x.fwd_drain);
   x.fwd_box.push_back({flit, now + params_.delay_fwd});
   const std::uint64_t k = ++x.sends;
   // Credit-counted mirror of the sequential occupancy check: the k-th flit
@@ -115,7 +110,7 @@ void Channel::drain_credits() {
     }
     const TimePs at = std::max(x.release_send_time, when) + params_.delay_ack;
     SPECNOC_ASSERT(send_outstanding_);
-    scheduler_.schedule_at(at, [this] {
+    up_sched().schedule_at(at, [this] {
       send_outstanding_ = false;
       up_->on_output_ack(up_port_);
     });
@@ -128,8 +123,9 @@ void Channel::try_deliver() {
     return;
   }
   head_scheduled_ = true;
-  const TimePs at = std::max(down_sched_->now(), queue_.front().ready_at);
-  down_sched_->schedule_at(at, [this] {
+  const sim::SchedulerRef down = down_sched();
+  const TimePs at = std::max(down.now(), queue_.front().ready_at);
+  down.schedule_at(at, [this] {
     SPECNOC_ASSERT(head_scheduled_ && !awaiting_node_ack_);
     SPECNOC_ASSERT(!queue_.empty());
     head_scheduled_ = false;
@@ -147,8 +143,8 @@ void Channel::ack() {
     // Every ack is a credit for the upstream half, consumed at the next
     // window barrier.
     CrossState& x = *cross_;
-    if (x.credit_box.empty()) x.psched->note_dirty(x.down_lane, x.credit_drain);
-    x.credit_box.push_back(down_sched_->now());
+    if (x.credit_box.empty()) x.psched->note_dirty(x.credit_drain);
+    x.credit_box.push_back(x.down.now());
   } else if (send_outstanding_ && occupancy() + 1 == params_.capacity) {
     // The upstream was stalled on a full pipe; this ack frees a slot.
     if (stalled_) {
@@ -165,7 +161,7 @@ void Channel::ack() {
 
 void Channel::release_upstream() {
   SPECNOC_ASSERT(send_outstanding_);
-  scheduler_.schedule(params_.delay_ack, [this] {
+  up_sched().schedule(params_.delay_ack, [this] {
     send_outstanding_ = false;
     up_->on_output_ack(up_port_);
   });

@@ -47,7 +47,8 @@ struct ChannelParams {
 
 class Channel {
  public:
-  Channel(sim::Scheduler& scheduler, SimHooks& hooks, ChannelParams params,
+  /// `scheduler` is the upstream node's (send/ack-release side).
+  Channel(sim::SchedulerRef scheduler, SimHooks& hooks, ChannelParams params,
           std::string name);
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -83,13 +84,14 @@ class Channel {
 
   /// Splits the channel across a partition boundary: the upstream half
   /// (send/ack-release accounting) stays on the constructing scheduler —
-  /// which must be the upstream node's lane — while delivery runs on
-  /// `down_lane`. Flits and downstream acks travel through mailboxes whose
-  /// drains are registered with `psched` here, so registration order (=
-  /// channel creation order) is the canonical cross-partition merge order.
-  /// Must be called before any traffic flows.
+  /// which must be partition `up`'s — while delivery runs on partition
+  /// `down`. Flits and downstream acks travel through mailboxes whose
+  /// drains are registered with `psched` here (the forward drain consumed
+  /// by `down`, the credit drain by `up`), so registration order (= channel
+  /// creation order) is the canonical cross-partition merge order. Must be
+  /// called before any traffic flows.
   void make_cross_partition(sim::PartitionedScheduler& psched,
-                            std::uint32_t up_lane, std::uint32_t down_lane);
+                            std::uint32_t up, std::uint32_t down);
   bool cross_partition() const { return cross_ != nullptr; }
 
  private:
@@ -100,27 +102,37 @@ class Channel {
 
   // Cross-partition state, boxed: almost every channel of a partitioned
   // network is intra-partition (only the MoT middle / mesh row-boundary
-  // links cross lanes), so the mailboxes and credit bookkeeping live behind
-  // one pointer instead of widening all ~3M channels of a large-radix
-  // build. The upstream lane owns sends/credits_seen and the release
-  // bookkeeping; the downstream lane owns queue_ and the delivery
-  // handshake. The mailboxes are written by one lane during a window and
-  // read only in the window barrier's serial section, so they need no
-  // locks.
+  // links cross partitions), so the mailboxes and credit bookkeeping live
+  // behind one pointer instead of widening all ~3M channels of a
+  // large-radix build. The upstream partition owns sends/credits_seen and
+  // the release bookkeeping; the downstream partition owns queue_ and the
+  // delivery handshake. Each mailbox is written by its producer partition
+  // during a window and drained by its consumer partition's worker between
+  // the window barriers, so they need no locks.
   struct CrossState {
-    sim::PartitionedScheduler* psched = nullptr;
-    std::uint32_t up_lane = 0;
-    std::uint32_t down_lane = 0;
+    CrossState(sim::PartitionedScheduler& scheduler,
+               sim::SchedulerRef down_ref)
+        : psched(&scheduler), down(down_ref) {}
+
+    sim::PartitionedScheduler* psched;
+    sim::SchedulerRef down;          ///< the downstream partition's
     std::uint32_t fwd_drain = 0;
     std::uint32_t credit_drain = 0;
-    std::uint64_t sends = 0;         ///< flits sent (up lane)
-    std::uint64_t credits_seen = 0;  ///< downstream acks drained (up lane)
+    std::uint64_t sends = 0;         ///< flits sent (up partition)
+    std::uint64_t credits_seen = 0;  ///< downstream acks drained (up)
     bool release_pending = false;    ///< a send is waiting for a credit
     std::uint64_t release_needs = 0; ///< credit count that frees the slot
     TimePs release_send_time = 0;    ///< when the waiting send happened
     std::vector<QueuedFlit> fwd_box;  ///< up -> down mailbox
     std::vector<TimePs> credit_box;   ///< down -> up mailbox (ack times)
   };
+
+  /// Upstream and downstream partitions' handles (the same for an
+  /// intra-partition channel).
+  sim::SchedulerRef up_sched() const { return {scheduler_, partition_}; }
+  sim::SchedulerRef down_sched() const {
+    return cross_ != nullptr ? cross_->down : up_sched();
+  }
 
   void try_deliver();
   void release_upstream();
@@ -145,11 +157,11 @@ class Channel {
   bool awaiting_node_ack_ = false; ///< a flit is at the node, not yet acked
   bool send_outstanding_ = false;  ///< upstream has not been re-acked yet
   bool stalled_ = false;           ///< last send filled the pipe to capacity
+  std::uint32_t partition_;        ///< upstream partition (scheduling tag)
   TimePs stall_start_ = 0;         ///< when the pipe went full
   std::uint64_t flits_carried_ = 0;
 
-  sim::Scheduler* down_sched_ = nullptr;  ///< == &scheduler_ when !cross
-  std::unique_ptr<CrossState> cross_;     ///< null for intra-lane channels
+  std::unique_ptr<CrossState> cross_;  ///< null for intra-partition channels
 };
 
 }  // namespace specnoc::noc

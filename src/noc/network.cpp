@@ -121,18 +121,24 @@ class HookSerializer {
 
 }  // namespace
 
-void Network::enable_partitions(std::uint32_t lanes, TimePs lookahead) {
+void Network::enable_partitions(std::uint32_t partitions, TimePs lookahead,
+                                unsigned threads) {
   SPECNOC_EXPECTS(psched_ == nullptr);
   SPECNOC_EXPECTS(nodes_.empty() && channels_.empty());
-  if (lanes <= 1) return;  // degenerate partitioning: stay sequential
+  if (partitions <= 1) return;  // degenerate partitioning: stay sequential
   if (lookahead <= 0) {
     throw ConfigError(
         "partitioned execution requires positive lookahead; a topology "
         "whose cross-partition channels have zero minimum latency must run "
         "sequentially");
   }
-  psched_ = std::make_unique<sim::PartitionedScheduler>(scheduler_, lanes,
-                                                        lookahead);
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  // One worker per execution lane.
+  psched_ = std::make_unique<sim::PartitionedScheduler>(
+      scheduler_, partitions, lookahead, threads);
+  psched_->set_threads(psched_->execution_lanes());
 }
 
 void Network::set_build_partition(std::uint32_t partition) {
@@ -140,24 +146,12 @@ void Network::set_build_partition(std::uint32_t partition) {
   build_partition_ = partition;
 }
 
-void Network::set_worker_threads(unsigned threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  worker_threads_ = threads;
-}
-
-unsigned Network::effective_threads() const {
-  return std::min<unsigned>(worker_threads_, partitions());
-}
-
 void Network::run() {
   if (psched_ == nullptr) {
     scheduler_.run();
     return;
   }
-  psched_->set_threads(effective_threads());
-  if (effective_threads() > 1) {
+  if (psched_->workers() > 1) {
     HookSerializer serialize(hooks_);
     psched_->run();
   } else {
@@ -170,8 +164,7 @@ void Network::run_until(TimePs t) {
     scheduler_.run_until(t);
     return;
   }
-  psched_->set_threads(effective_threads());
-  if (effective_threads() > 1) {
+  if (psched_->workers() > 1) {
     HookSerializer serialize(hooks_);
     psched_->run_until(t);
   } else {

@@ -38,14 +38,20 @@ class Network {
   SimHooks& hooks() { return hooks_; }
   PacketStore& packets() { return packets_; }
 
-  /// Switches the network into partitioned mode with `lanes` scheduler
-  /// lanes and the given conservative lookahead (the minimum latency of any
-  /// cross-partition channel, computed by the builder from its channel
-  /// delay plan). Must be called before any node exists. `lanes` == 1 is a
-  /// no-op (the network stays sequential); `lookahead` <= 0 with more than
-  /// one lane is a ConfigError — a zero-lookahead topology cannot be
-  /// partitioned conservatively.
-  void enable_partitions(std::uint32_t lanes, TimePs lookahead);
+  /// Switches the network into partitioned mode with `partitions`
+  /// partitions and the given conservative lookahead (the minimum latency
+  /// of any cross-partition channel, computed by the builder from its
+  /// channel delay plan), run by `threads` worker threads (0 = hardware
+  /// concurrency). The partitions execute on one event queue per worker —
+  /// the resolved thread count clamped to [1, partitions] — each holding a
+  /// contiguous block of partitions; the lane and worker counts are fixed
+  /// here. Results do not depend on `threads`. Must be called before any
+  /// node exists. `partitions` == 1 is a no-op (the network stays
+  /// sequential); `lookahead` <= 0 with more than one partition is a
+  /// ConfigError — a zero-lookahead topology cannot be partitioned
+  /// conservatively.
+  void enable_partitions(std::uint32_t partitions, TimePs lookahead,
+                         unsigned threads);
 
   bool partitioned() const { return psched_ != nullptr; }
   std::uint32_t partitions() const {
@@ -53,19 +59,14 @@ class Network {
   }
   sim::PartitionedScheduler* partitioned_scheduler() { return psched_.get(); }
 
-  /// Scheduler lane `i` (the global scheduler when not partitioned).
-  sim::Scheduler& lane(std::uint32_t i) {
+  /// Handle of partition `i`: the scheduler its nodes run on (the global
+  /// scheduler when not partitioned), stamping `i` on their events.
+  sim::SchedulerRef lane(std::uint32_t i) {
     return psched_ != nullptr ? psched_->lane(i) : scheduler_;
   }
 
   /// Partition that subsequently created nodes belong to.
   void set_build_partition(std::uint32_t partition);
-
-  /// Worker threads for partitioned runs; 0 = hardware concurrency. The
-  /// effective count is additionally clamped to the partition count. Has no
-  /// effect on sequential networks.
-  void set_worker_threads(unsigned threads);
-  unsigned worker_threads() const { return worker_threads_; }
 
   /// Unified run surface: dispatches to the global scheduler or to the
   /// partitioned window executor. Drivers and experiments should use these
@@ -88,7 +89,7 @@ class Network {
   /// in the arena slab for T — stable address, freed with the network.
   template <typename T, typename... Args>
   T& add_node(Args&&... args) {
-    T* node = arena_.create<T>(lane(build_partition_), hooks_,
+    T* node = arena_.create<T>(lane(build_partition_).scheduler(), hooks_,
                                std::forward<Args>(args)...);
     node->set_partition(build_partition_);
     arena_.label_pool<T>(to_string(node->kind()));
@@ -126,8 +127,6 @@ class Network {
   const NetworkArena& arena() const { return arena_; }
 
  private:
-  unsigned effective_threads() const;
-
   sim::Scheduler scheduler_;
   SimHooks hooks_;
   PacketStore packets_;
@@ -139,7 +138,6 @@ class Network {
 
   std::unique_ptr<sim::PartitionedScheduler> psched_;
   std::uint32_t build_partition_ = 0;
-  unsigned worker_threads_ = 1;
 };
 
 }  // namespace specnoc::noc

@@ -80,9 +80,10 @@ class Node {
   const NodeSite& site() const { return site_; }
   void set_site(const NodeSite& site) { site_ = site; }
 
-  /// Scheduler lane this node's events run on. Equals the network's global
-  /// scheduler unless the network was built with partitions enabled.
-  sim::Scheduler& lane() { return scheduler_; }
+  /// Handle on the scheduler this node's events run on, stamping its
+  /// partition. The scheduler is the network's global one unless the
+  /// network was built with partitions enabled.
+  sim::SchedulerRef lane() { return {scheduler_, partition_}; }
 
   /// Partition this node belongs to (0 when partitioning is disabled).
   std::uint32_t partition() const { return partition_; }
@@ -99,7 +100,7 @@ class Node {
   std::uint32_t num_outputs() const { return outputs_.size(); }
 
  protected:
-  sim::Scheduler& sched() { return scheduler_; }
+  sim::SchedulerRef sched() { return {scheduler_, partition_}; }
   SimHooks& hooks() { return hooks_; }
   Channel& input(std::uint32_t port);
   Channel& output(std::uint32_t port);

@@ -68,11 +68,12 @@ class BucketQueue {
   void reserve(std::size_t events);
 
   /// Inserts `fn` at time `t`, constructing the callable directly inside
-  /// the slab entry (no intermediate moves). Requires t >= the current
-  /// window base (the scheduler guarantees this via its t >= now()
-  /// precondition).
+  /// the slab entry (no intermediate moves). `tag` rides along in the entry
+  /// untouched (the partitioned kernel stores the event's partition there;
+  /// see Scheduler). Requires t >= the current window base (the scheduler
+  /// guarantees this via its t >= now() precondition).
   template <typename F>
-  void push(TimePs t, F&& fn) {
+  void push(TimePs t, F&& fn, std::uint32_t tag = 0) {
     SPECNOC_EXPECTS(t >= base_);
     std::uint32_t slot = free_head_;
     Entry* ep;
@@ -92,6 +93,7 @@ class BucketQueue {
     }
     e.time = t;
     e.next = kNpos;
+    e.tag = tag;
     if (t - base_ < kNumBuckets) {
       // Near tier: the bucket spans exactly 1 ps, so FIFO append preserves
       // insertion-sequence order without storing a sequence number.
@@ -126,11 +128,13 @@ class BucketQueue {
   }
 
   /// A slab entry. Public only so PopRef can carry a pointer to one; the
-  /// scheduler treats it as opaque.
+  /// scheduler reads nothing but `tag`. The tag occupies what would
+  /// otherwise be tail padding, so tagging costs no slab bytes.
   struct Entry {
     InplaceEvent fn;
     TimePs time = 0;
     std::uint32_t next = 0xffffffffu;
+    std::uint32_t tag = 0;
   };
 
   /// Handle to a popped-but-not-yet-recycled event. The entry's address is

@@ -45,4 +45,22 @@ void Scheduler::run_until(TimePs t) {
   queue_.advance_to(t);
 }
 
+void Scheduler::run_until_tagged(TimePs t,
+                                 std::span<std::uint64_t> executed_by_tag,
+                                 std::uint32_t first_tag) {
+  SPECNOC_EXPECTS(t >= now_);
+  while (!queue_.empty() && queue_.min_time() <= t) {
+    const BucketQueue::PopRef ref = queue_.pop();
+    now_ = ref.time;
+    ++executed_;
+    const std::uint32_t index = ref.entry->tag - first_tag;  // wraps if below
+    SPECNOC_ASSERT(index < executed_by_tag.size());
+    ++executed_by_tag[index];
+    queue_.invoke_and_dispose(ref);
+    queue_.recycle(ref);
+  }
+  now_ = t;
+  queue_.advance_to(t);
+}
+
 }  // namespace specnoc::sim

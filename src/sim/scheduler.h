@@ -10,12 +10,20 @@
 // simulator, an overflow heap for far-future timers, and zero heap
 // allocations per event — callbacks are sim::InplaceEvent (event.h), whose
 // captures must fit 48 bytes of inline storage by construction.
+//
+// Every event also carries a 32-bit tag. The partitioned kernel
+// (partitioned_scheduler.h) runs several partitions on one scheduler and
+// stamps each event with its partition's id, so per-partition accounting
+// survives the sharing; model code schedules through a SchedulerRef, which
+// pairs a scheduler with the tag to stamp. Sequential networks use tag 0
+// throughout, and nothing on the sequential run path reads the tag.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -43,24 +51,24 @@ class Scheduler {
   /// Current simulation time.
   TimePs now() const { return now_; }
 
-  /// Schedules `fn` to run `delay` picoseconds from now (delay >= 0).
-  /// The callable is constructed directly into the kernel's event slab —
-  /// its captures must fit InplaceEvent's inline storage (compile error
-  /// otherwise; see event.h).
+  /// Schedules `fn` to run `delay` picoseconds from now (delay >= 0),
+  /// stamped with `tag`. The callable is constructed directly into the
+  /// kernel's event slab — its captures must fit InplaceEvent's inline
+  /// storage (compile error otherwise; see event.h).
   template <typename F>
-  void schedule(TimePs delay, F&& fn) {
+  void schedule(TimePs delay, F&& fn, std::uint32_t tag = 0) {
     SPECNOC_EXPECTS(delay >= 0);
-    schedule_at(now_ + delay, std::forward<F>(fn));
+    schedule_at(now_ + delay, std::forward<F>(fn), tag);
   }
 
   /// Schedules `fn` at absolute time `at` (must be >= now()).
   template <typename F>
-  void schedule_at(TimePs at, F&& fn) {
+  void schedule_at(TimePs at, F&& fn, std::uint32_t tag = 0) {
     SPECNOC_EXPECTS(at >= now_);
     if constexpr (std::is_same_v<std::decay_t<F>, InplaceEvent>) {
       SPECNOC_EXPECTS(static_cast<bool>(fn));
     }
-    queue_.push(at, std::forward<F>(fn));
+    queue_.push(at, std::forward<F>(fn), tag);
   }
 
   /// Observation-only callback fired from step() before the first event at
@@ -99,6 +107,13 @@ class Scheduler {
   /// Runs events with time <= `t`, then advances the clock to exactly `t`.
   void run_until(TimePs t);
 
+  /// run_until() for a scheduler shared by several partitions: also counts
+  /// every fired event in `executed_by_tag[tag - first_tag]` (a tag outside
+  /// the span is a contract violation). Ignores the epoch hook: the
+  /// partitioned kernel samples epochs at its window barrier instead.
+  void run_until_tagged(TimePs t, std::span<std::uint64_t> executed_by_tag,
+                        std::uint32_t first_tag);
+
   /// Pre-sizes internal storage for `events` concurrently pending events
   /// (optional; the slab grows on demand and is reused thereafter).
   void reserve(std::size_t events) { queue_.reserve(events); }
@@ -133,6 +148,36 @@ class Scheduler {
   TimePs epoch_ps_ = 0;
   EpochHook epoch_hook_;
   BucketQueue queue_;
+};
+
+/// A scheduler plus the tag to stamp on what is scheduled through it: the
+/// handle model code (nodes, channels, drivers) holds on the kernel that
+/// runs its partition. Cheap to copy. Converts implicitly from a plain
+/// Scheduler with tag 0, which is all a sequential network ever uses.
+class SchedulerRef {
+ public:
+  SchedulerRef(Scheduler& scheduler,  // NOLINT(google-explicit-constructor)
+               std::uint32_t tag = 0)
+      : scheduler_(&scheduler), tag_(tag) {}
+
+  TimePs now() const { return scheduler_->now(); }
+
+  template <typename F>
+  void schedule(TimePs delay, F&& fn) const {
+    scheduler_->schedule(delay, std::forward<F>(fn), tag_);
+  }
+
+  template <typename F>
+  void schedule_at(TimePs at, F&& fn) const {
+    scheduler_->schedule_at(at, std::forward<F>(fn), tag_);
+  }
+
+  Scheduler& scheduler() const { return *scheduler_; }
+  std::uint32_t tag() const { return tag_; }
+
+ private:
+  Scheduler* scheduler_;
+  std::uint32_t tag_;
 };
 
 }  // namespace specnoc::sim

@@ -108,16 +108,20 @@ struct CmpMetrics {
 
 /// Execution-shape statistics of a partitioned (PDES) run: how the window
 /// protocol behaved, not what the simulation computed. `lanes == 0` means
-/// the run was sequential. Everything here is a function of the topology
-/// and the partition strategy alone — deliberately independent of the
-/// worker-thread count, so snapshots of the same partitioned simulation are
-/// equal at any thread count.
+/// the run was sequential. Despite the historical names, `lanes`,
+/// `lane_events` and `lane_idle_windows` count *partitions* (the topology
+/// cut), not the execution lanes (event queues) those partitions share —
+/// see sim::PartitionedScheduler. Everything here is a function of the
+/// topology and the partition strategy alone — deliberately independent
+/// of the lane and worker-thread counts, so snapshots of the same
+/// partitioned simulation are equal at any thread count.
 struct PdesMetrics {
-  std::uint32_t lanes = 0;
+  std::uint32_t lanes = 0;  ///< partitions
   TimePs lookahead_ps = 0;
   std::uint64_t windows = 0;
-  std::vector<std::uint64_t> lane_events;        ///< events executed per lane
-  std::vector<std::uint64_t> lane_idle_windows;  ///< windows a lane sat idle
+  std::vector<std::uint64_t> lane_events;  ///< events executed per partition
+  /// Windows in which a partition executed nothing, per partition.
+  std::vector<std::uint64_t> lane_idle_windows;
 
   bool empty() const { return lanes == 0; }
 };

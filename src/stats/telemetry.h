@@ -99,8 +99,9 @@ struct TelemetryEpoch {
   /// class name (deterministic). Classes with zero stall time are omitted.
   std::vector<std::pair<std::string, std::uint64_t>> stall_time_ps;
 
-  /// Partitioned runs only: per-lane events executed in the interval and
-  /// windows the executor closed. Empty/zero on sequential kernels.
+  /// Partitioned runs only: events executed in the interval per partition
+  /// (the historical "lane" name; see PdesMetrics) and windows the
+  /// executor closed. Empty/zero on sequential kernels.
   std::vector<std::uint64_t> lane_events;
   std::uint64_t windows = 0;
 

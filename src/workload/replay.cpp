@@ -84,7 +84,7 @@ void TraceReplayDriver::start() {
       if (!rec.deps.empty()) continue;  // injected when the deps deliver
       at = std::max(rec.earliest, rec.delay);
     }
-    sim::Scheduler& lane = network_.net().source(rec.src).lane();
+    const sim::SchedulerRef lane = network_.net().source(rec.src).lane();
     lane.schedule_at(std::max(at, lane.now()), [this, i] { inject(i); });
   }
 }

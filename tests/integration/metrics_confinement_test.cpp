@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mot_network.h"
+#include "sim/partitioned_scheduler.h"
 #include "stats/metrics.h"
 #include "traffic/benchmark.h"
 #include "traffic/driver.h"
@@ -17,13 +18,22 @@ namespace {
 
 using namespace specnoc::literals;
 
+/// `workers` != 0 lowers a partitioned network's worker count below its
+/// lane count (sim_threads) after build.
 stats::MetricsSnapshot run_hybrid_multicast(TimePs horizon,
                                             unsigned sim_threads = 1,
-                                            unsigned workers = 0) {
+                                            std::uint32_t workers = 0) {
   core::NetworkConfig cfg;  // 8x8
   cfg.sim_threads = sim_threads;
   core::MotNetwork net(core::Architecture::kOptHybridSpeculative, cfg);
-  if (workers != 0) net.net().set_worker_threads(workers);
+  if (workers != 0) {
+    sim::PartitionedScheduler* ps = net.net().partitioned_scheduler();
+    EXPECT_NE(ps, nullptr);
+    if (ps != nullptr) {
+      ps->set_threads(workers);
+      EXPECT_EQ(ps->workers(), workers);
+    }
+  }
   stats::MetricsRegistry registry;
   net.net().hooks().metrics = &registry;
   auto pattern =
@@ -114,15 +124,16 @@ TEST(MetricsConfinementTest, ConfinementHoldsUnderPartitionedKernel) {
 // Worker-thread-count invariance of every simulated counter: the snapshot
 // of a partitioned run is a pure function of (topology, partition
 // strategy, traffic) — 1, 2 and 4 workers produce byte-identical site and
-// channel counters.
+// channel counters. The reference runs 4 lanes on one worker; sim_threads
+// 2 and 4 run that many lanes and workers.
 TEST(MetricsConfinementTest, ThreadCountChangesNoSimulatedCounter) {
   const stats::MetricsSnapshot reference =
-      run_hybrid_multicast(1000_ns, /*sim_threads=*/2, /*workers=*/1);
+      run_hybrid_multicast(1000_ns, /*sim_threads=*/4, /*workers=*/1);
   ASSERT_GT(reference.total_kills(), 0u);
-  for (const unsigned workers : {2u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
     const stats::MetricsSnapshot run =
-        run_hybrid_multicast(1000_ns, /*sim_threads=*/2, workers);
+        run_hybrid_multicast(1000_ns, threads, /*workers=*/threads);
     expect_same_counters(reference, run);
   }
 }

@@ -14,6 +14,7 @@
 // next 8 bytes of headroom; they are ceilings, not exact layouts.
 #include <gtest/gtest.h>
 
+#include "core/mot_network.h"
 #include "mesh/mesh_router.h"
 #include "noc/channel.h"
 #include "noc/node.h"
@@ -21,12 +22,13 @@
 #include "noc/source.h"
 #include "nodes/fanin_node.h"
 #include "nodes/fanout_nodes.h"
+#include "sim/partitioned_scheduler.h"
 
 namespace specnoc {
 namespace {
 
 static_assert(sizeof(noc::Node) <= 136, "Node footprint grew");
-static_assert(sizeof(noc::Channel) <= 216,
+static_assert(sizeof(noc::Channel) <= 208,
               "Channel footprint grew — at radix 1024 there are ~3M of "
               "these; keep cross-partition state boxed");
 static_assert(sizeof(nodes::FaninNode) <= 336,
@@ -45,6 +47,20 @@ static_assert(sizeof(noc::SourceNode) <= 296, "SourceNode footprint grew");
 static_assert(sizeof(noc::SinkNode) <= 168, "SinkNode footprint grew");
 static_assert(sizeof(mesh::MeshRouter) <= 752,
               "MeshRouter footprint grew (5 ports; still worth watching)");
+
+// Event queues are per worker, not per partition: each BucketQueue holds a
+// 32 KiB bucket ring plus its slab, so a 256-tree MoT on 4 workers must
+// own 4 queues, not 256 (about 8 MiB of rings and warm slab saved).
+TEST(FootprintTest, PartitionedMotOwnsOneQueuePerWorker) {
+  core::NetworkConfig cfg;
+  cfg.n = 256;
+  cfg.sim_threads = 4;
+  core::MotNetwork net(core::Architecture::kOptHybridSpeculative, cfg);
+  const sim::PartitionedScheduler* ps = net.net().partitioned_scheduler();
+  ASSERT_NE(ps, nullptr);
+  EXPECT_EQ(ps->lanes(), 256u);  // partitions: one per tree
+  EXPECT_EQ(ps->execution_lanes(), 4u);
+}
 
 // A runtime mirror so the suite reports the numbers (static_asserts alone
 // are silent when green).

@@ -55,6 +55,10 @@ namespace {
 
 static_assert(sizeof(InplaceEvent) <= 64,
               "InplaceEvent should stay within a cache line");
+// The partition tag rides in the entry's former tail padding: tagging
+// events for the partitioned kernel must not grow the slab.
+static_assert(sizeof(BucketQueue::Entry) <= 80,
+              "BucketQueue slab entry grew");
 
 TEST(InplaceEventTest, DefaultConstructedIsEmpty) {
   InplaceEvent e;

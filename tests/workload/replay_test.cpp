@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mot_network.h"
+#include "sim/partitioned_scheduler.h"
 #include "stats/recorder.h"
 #include "traffic/benchmark.h"
 #include "traffic/driver.h"
@@ -29,15 +30,23 @@ struct ReplayOutput {
 };
 
 /// Replays `trace` in timed mode on a fresh network of `arch`, stopping at
-/// `horizon` like the run that produced it. `sim_threads`/`workers` select
-/// the partitioned kernel (workers = 0 keeps the config's thread count).
+/// `horizon` like the run that produced it. `sim_threads` selects the
+/// partitioned kernel; `workers` != 0 then lowers its worker count below
+/// the lane count after build.
 ReplayOutput timed_replay(Architecture arch, const Trace& trace,
                           TimePs horizon, unsigned sim_threads = 1,
-                          unsigned workers = 0) {
+                          std::uint32_t workers = 0) {
   core::NetworkConfig cfg;
   cfg.sim_threads = sim_threads;
   core::MotNetwork network(arch, cfg);
-  if (workers != 0) network.net().set_worker_threads(workers);
+  if (workers != 0) {
+    sim::PartitionedScheduler* ps = network.net().partitioned_scheduler();
+    EXPECT_NE(ps, nullptr);
+    if (ps != nullptr) {
+      ps->set_threads(workers);
+      EXPECT_EQ(ps->workers(), workers);
+    }
+  }
   stats::TrafficRecorder recorder(network.net().packets());
   TraceReplayDriver driver(network, trace,
                            {ReplayMode::kTimed, /*measured=*/true});
@@ -98,20 +107,21 @@ TEST(ReplayTest, TimedReplayIsDeterministic) {
 
 /// Timed replay under the partitioned kernel: per-message latency records
 /// and delivered flit counts are a pure function of (network, trace) — the
-/// worker-thread count never changes them.
+/// worker-thread count never changes them. The reference runs 4 lanes on
+/// one worker; sim_threads 2 and 4 run that many lanes and workers.
 TEST(ReplayTest, TimedReplayIsWorkerCountInvariantUnderPartitions) {
   const Trace trace = make_synth_workload(SynthId::kCoherence, 8, 5, 3);
   auto reference = timed_replay(Architecture::kOptHybridSpeculative, trace,
-                                1000_ns, /*sim_threads=*/2, /*workers=*/1);
+                                1000_ns, /*sim_threads=*/4, /*workers=*/1);
   EXPECT_GT(reference.flits_ejected, 0u);
   // The recorder's latency list is push-ordered by hook arrival, which is
   // wall-clock dependent across workers; the multiset of latencies is the
   // invariant, so compare sorted.
   std::sort(reference.latencies.begin(), reference.latencies.end());
-  for (const unsigned workers : {2u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
     auto run = timed_replay(Architecture::kOptHybridSpeculative, trace,
-                            1000_ns, /*sim_threads=*/2, workers);
+                            1000_ns, threads, /*workers=*/threads);
     std::sort(run.latencies.begin(), run.latencies.end());
     EXPECT_EQ(run.flits_ejected, reference.flits_ejected);
     EXPECT_EQ(run.latencies, reference.latencies);
