@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
                            .factory = {},
                            .custom = point.label});
   }
-  const auto lat_outcomes = sweep.latency_sweep("latency", runner, lat_specs);
-  const auto power_outcomes = sweep.power_sweep("power", runner, power_specs);
+  const auto lat_outcomes = sweep.grid("latency", runner, lat_specs);
+  const auto power_outcomes = sweep.grid("power", runner, power_specs);
   metrics.add_all("latency", lat_outcomes);
   metrics.add_all("power", power_outcomes);
   metrics.write(opts);

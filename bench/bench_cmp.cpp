@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
           arch, workload::to_string(workloads[w]), traces[w]));
     }
   }
-  const auto outcomes = sweep.cmp_grid("cmp", runner, specs);
+  const auto outcomes = sweep.grid("cmp", runner, specs);
   specnoc::bench::MetricsReport metrics;
   metrics.add_all("cmp", outcomes);
   metrics.write(opts);

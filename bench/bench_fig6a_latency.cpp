@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
          .factory = {},
          .custom = {}});
   }
-  const auto lat_outcomes = sweep.latency_sweep("latency", runner, lat_specs);
+  const auto lat_outcomes = sweep.grid("latency", runner, lat_specs);
   metrics.add_all("latency", lat_outcomes);
   metrics.write(opts);
   if (!sweep.should_render()) return sweep.finish();

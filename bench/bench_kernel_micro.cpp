@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "core/mot_network.h"
 #include "noc/hooks.h"
@@ -60,25 +59,6 @@ void BM_SchedulerCascade(benchmark::State& state) {
                           100000);
 }
 BENCHMARK(BM_SchedulerCascade);
-
-void BM_SchedulerCascadeStdFunction(benchmark::State& state) {
-  // Same chain, but each event is a std::function copied into the kernel
-  // event — double type erasure. Quantifies what wrapping costs relative
-  // to BM_SchedulerCascade; not a pattern the simulator uses.
-  for (auto _ : state) {
-    sim::Scheduler sched;
-    int remaining = 100000;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) sched.schedule(3, tick);
-    };
-    sched.schedule(0, tick);
-    sched.run();
-    benchmark::DoNotOptimize(remaining);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          100000);
-}
-BENCHMARK(BM_SchedulerCascadeStdFunction);
 
 // Delay values the simulator actually schedules, from
 // nodes/characteristics.cpp: switch/channel handshake latencies for the

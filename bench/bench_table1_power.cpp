@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
            .custom = {}});
     }
   }
-  const auto power_outcomes = sweep.power_sweep("power", runner, power_specs);
+  const auto power_outcomes = sweep.grid("power", runner, power_specs);
   metrics.add_all("power", power_outcomes);
   metrics.write(opts);
   if (!sweep.should_render()) return sweep.finish();

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto outcomes = sweep.workload_grid("workload", runner, specs);
+  const auto outcomes = sweep.grid("workload", runner, specs);
   specnoc::bench::MetricsReport metrics;
   metrics.add_all("workload", outcomes);
   metrics.write(opts);

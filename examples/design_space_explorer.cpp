@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
                            .factory = sat_specs[i].factory,
                            .custom = points[i].label});
   }
-  const auto lat_outcomes = sweep.latency_sweep("latency", runner, lat_specs);
-  const auto power_outcomes = sweep.power_sweep("power", runner, power_specs);
+  const auto lat_outcomes = sweep.grid("latency", runner, lat_specs);
+  const auto power_outcomes = sweep.grid("power", runner, power_specs);
   if (!metrics_path.empty()) {
     // Same document shape as the harnesses' --metrics files (see
     // EXPERIMENTS.md): one entry per run that carried a snapshot.

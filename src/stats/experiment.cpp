@@ -24,15 +24,6 @@ using namespace specnoc::literals;
 
 namespace {
 
-sim::RunnerOptions runner_options(const BatchOptions& options) {
-  sim::RunnerOptions runner;
-  runner.jobs = options.jobs;
-  runner.max_attempts = options.max_attempts;
-  runner.progress_interval_ms = options.progress_interval_ms;
-  runner.progress_label = options.progress_label;
-  return runner;
-}
-
 // Window-protocol shape of a partitioned run (empty when sequential).
 // Everything recorded is thread-count-invariant.
 PdesMetrics pdes_shape(noc::Network& net) {
@@ -161,6 +152,79 @@ class PdesNote {
   std::uint64_t idle_lane_windows_ = 0;
 };
 
+// The network a run builds with `config`: an explicit factory wins;
+// otherwise a non-empty `custom` label is rebuilt from the process-wide
+// ArchitectureRegistry (how deserialized design points, whose factories
+// cannot travel through shard files, come back to life); otherwise the
+// architecture's canonical network. The latency drain loop, power
+// accounting, closed-loop replay and cmp co-simulation are event-granular
+// protocols with no windowed equivalent, so they pass config.sequential();
+// custom factories are the caller's contract (a partitioned network handed
+// to those protocols raises ConfigError).
+NetworkFactory network_for(const core::NetworkConfig& config,
+                           core::Architecture arch,
+                           const NetworkFactory& factory = {},
+                           const std::string& custom = {}) {
+  if (factory) return factory;
+  if (!custom.empty()) {
+    return [custom, config] {
+      return core::ArchitectureRegistry::global().build(custom, config);
+    };
+  }
+  return [arch, config] {
+    return std::make_unique<core::MotNetwork>(arch, config);
+  };
+}
+
+// The batch loop behind every run_*_grid method: runs `run_one(spec,
+// probes)` for each spec on options.jobs workers and reduces the outcomes
+// in spec order, so results are identical for any thread count.
+template <class Result, class Spec, class RunOne>
+std::vector<Outcome<Spec, Result>> run_batch(const std::vector<Spec>& specs,
+                                             const BatchOptions& options,
+                                             const RunOne& run_one) {
+  std::vector<Outcome<Spec, Result>> outcomes(specs.size());
+  const bool collect = options.collect_metrics || options.telemetry.enabled();
+  PdesNote pdes_note;  // empty for sequential runs: their lines carry none
+  sim::RunnerOptions runner;
+  runner.jobs = options.jobs;
+  runner.max_attempts = options.max_attempts;
+  runner.progress_interval_ms = options.progress_interval_ms;
+  runner.progress_label = options.progress_label;
+  if (options.progress_interval_ms > 0) {
+    runner.progress_note = [&pdes_note] { return pdes_note.text(); };
+  }
+  if (options.on_run_done) {
+    runner.on_run_done = [&outcomes, &options](std::size_t i,
+                                               const sim::RunOutcome& run) {
+      options.on_run_done(
+          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
+    };
+  }
+  const sim::ParallelRunner pool(std::move(runner));
+  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
+    std::uint64_t events = 0;
+    MetricsSnapshot snapshot;
+    PdesMetrics pdes;
+    RunProbes probes;
+    probes.events = &events;
+    probes.metrics = collect ? &snapshot : nullptr;
+    probes.pdes = &pdes;
+    probes.telemetry = options.telemetry;
+    outcomes[i].result = run_one(specs[i], probes);
+    if (collect) outcomes[i].metrics = std::move(snapshot);
+    pdes_note.update(pdes);
+    return events;
+  });
+  // Deterministic reduction: spec order, independent of completion order.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    outcomes[i].spec = specs[i];
+    outcomes[i].run = runs[i];
+    if (!runs[i].ok) outcomes[i].metrics.reset();
+  }
+  return outcomes;
+}
+
 }  // namespace
 
 ExperimentRunner::ExperimentRunner(core::NetworkConfig config,
@@ -196,59 +260,28 @@ traffic::SimWindows ExperimentRunner::saturation_windows() {
   return {.warmup = 1000_ns, .measure = 4000_ns};
 }
 
-NetworkFactory ExperimentRunner::factory_for(core::Architecture arch) const {
-  return [arch, config = config_] {
-    return std::make_unique<core::MotNetwork>(arch, config);
-  };
-}
-
-NetworkFactory ExperimentRunner::factory_for_spec(
-    core::Architecture arch, const NetworkFactory& factory,
-    const std::string& custom) const {
-  if (factory) return factory;
-  if (!custom.empty()) {
-    return [custom, config = config_] {
-      return core::ArchitectureRegistry::global().build(custom, config);
-    };
-  }
-  return factory_for(arch);
-}
-
-NetworkFactory ExperimentRunner::sequential_factory_for(
-    core::Architecture arch) const {
-  return [arch, config = config_.sequential()] {
-    return std::make_unique<core::MotNetwork>(arch, config);
-  };
-}
-
-NetworkFactory ExperimentRunner::sequential_factory_for_spec(
-    core::Architecture arch, const NetworkFactory& factory,
-    const std::string& custom) const {
-  if (factory) return factory;
-  if (!custom.empty()) {
-    return [custom, config = config_.sequential()] {
-      return core::ArchitectureRegistry::global().build(custom, config);
-    };
-  }
-  return sequential_factory_for(arch);
-}
-
 const SaturationResult& ExperimentRunner::saturation(
     core::Architecture arch, traffic::BenchmarkId bench) {
   const auto key = std::make_pair(arch, bench);
   auto it = saturation_cache_.find(key);
   if (it == saturation_cache_.end()) {
-    it = saturation_cache_.emplace(key, run_saturation(factory_for(arch),
-                                                       bench))
+    it = saturation_cache_
+             .emplace(key, run_saturation(network_for(config_, arch), bench))
              .first;
   }
   return it->second;
 }
 
-void ExperimentRunner::prime_saturation(core::Architecture arch,
-                                        traffic::BenchmarkId bench,
-                                        const SaturationResult& result) {
-  saturation_cache_.emplace(std::make_pair(arch, bench), result);
+void ExperimentRunner::prime_saturation(
+    const std::vector<SaturationOutcome>& outcomes) {
+  for (const SaturationOutcome& outcome : outcomes) {
+    const SaturationSpec& spec = outcome.spec;
+    if (outcome.run.ok && spec.seed == 0 && !spec.factory &&
+        spec.custom.empty()) {
+      saturation_cache_.emplace(std::make_pair(spec.arch, spec.bench),
+                                outcome.result);
+    }
+  }
 }
 
 SaturationResult ExperimentRunner::run_saturation(
@@ -308,7 +341,7 @@ LatencyResult ExperimentRunner::measure_latency(core::Architecture arch,
                                                 traffic::BenchmarkId bench,
                                                 double injected_flits_per_ns,
                                                 traffic::SimWindows windows) {
-  return measure_latency(sequential_factory_for(arch), bench,
+  return measure_latency(network_for(config_.sequential(), arch), bench,
                          injected_flits_per_ns, windows);
 }
 
@@ -400,7 +433,7 @@ PowerResult ExperimentRunner::measure_power(core::Architecture arch,
                                             traffic::BenchmarkId bench,
                                             double injected_flits_per_ns,
                                             traffic::SimWindows windows) {
-  return measure_power(sequential_factory_for(arch), bench,
+  return measure_power(network_for(config_.sequential(), arch), bench,
                        injected_flits_per_ns, windows);
 }
 
@@ -521,16 +554,10 @@ WorkloadResult ExperimentRunner::workload_run(
   return result;
 }
 
-CmpResult ExperimentRunner::run_cmp(const NetworkFactory& factory,
-                                    const workload::AccessTrace& access,
-                                    const cmp::CmpConfig& cmp) const {
-  return cmp_run(factory, access, cmp, {});
-}
-
 CmpResult ExperimentRunner::cmp_run(const NetworkFactory& factory,
                                     const workload::AccessTrace& access,
-                                    const cmp::CmpConfig& cmp,
                                     const RunProbes& probes) const {
+  const cmp::CmpConfig cmp;
   ProbeRig rig(probes);
   const auto network = factory();
   auto& net = network->net();
@@ -622,216 +649,72 @@ PowerResult ExperimentRunner::power_at_baseline_fraction(
 
 std::vector<SaturationOutcome> ExperimentRunner::run_saturation_grid(
     const std::vector<SaturationSpec>& specs, const BatchOptions& options) {
-  std::vector<SaturationOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  const auto pdes_note = std::make_shared<PdesNote>();
-  if (options.progress_interval_ms > 0) {
-    runner.progress_note = [pdes_note] { return pdes_note->text(); };
-  }
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    PdesMetrics pdes;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.pdes = &pdes;
-    probes.telemetry = options.telemetry;
-    outcomes[i].result =
-        saturation_run(factory_for_spec(spec.arch, spec.factory, spec.custom),
-                       spec.bench, spec.seed == 0 ? seed_ : spec.seed, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    pdes_note->update(pdes);
-    return events;
-  });
-  // Deterministic reduction: spec order, independent of completion order.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-    // Canonical cells (runner seed, canonical network, no custom label)
-    // warm the memoization cache so saturation() reuses them.
-    if (runs[i].ok && specs[i].seed == 0 && !specs[i].factory &&
-        specs[i].custom.empty()) {
-      saturation_cache_.emplace(std::make_pair(specs[i].arch, specs[i].bench),
-                                outcomes[i].result);
-    }
-  }
+  auto outcomes = run_batch<SaturationResult>(
+      specs, options, [this](const SaturationSpec& spec, const RunProbes& p) {
+        return saturation_run(
+            network_for(config_, spec.arch, spec.factory, spec.custom),
+            spec.bench, spec.seed == 0 ? seed_ : spec.seed, p);
+      });
+  prime_saturation(outcomes);
   return outcomes;
 }
 
 std::vector<LatencyOutcome> ExperimentRunner::run_latency_sweep(
     const std::vector<LatencySpec>& specs, const BatchOptions& options) const {
-  std::vector<LatencyOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.telemetry = options.telemetry;
-    outcomes[i].result = latency_run(
-        sequential_factory_for_spec(spec.arch, spec.factory, spec.custom),
-        spec.bench, spec.injected_flits_per_ns, spec.windows,
-        spec.seed == 0 ? seed_ : spec.seed, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
-}
-
-std::vector<WorkloadOutcome> ExperimentRunner::run_workload_grid(
-    const std::vector<WorkloadSpec>& specs, const BatchOptions& options) const {
-  std::vector<WorkloadOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  const auto pdes_note = std::make_shared<PdesNote>();
-  if (options.progress_interval_ms > 0) {
-    runner.progress_note = [pdes_note] { return pdes_note->text(); };
-  }
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    if (spec.trace == nullptr) {
-      throw ConfigError("workload spec '" + spec.workload +
-                        "' has no trace attached (deserialized specs must be "
-                        "re-armed with make_workload_spec before running)");
-    }
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    PdesMetrics pdes;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.pdes = &pdes;
-    probes.telemetry = options.telemetry;
-    const NetworkFactory net_factory =
-        spec.mode == workload::ReplayMode::kClosedLoop
-            ? sequential_factory_for_spec(spec.arch, spec.factory, spec.custom)
-            : factory_for_spec(spec.arch, spec.factory, spec.custom);
-    outcomes[i].result =
-        workload_run(net_factory, *spec.trace, spec.mode, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    pdes_note->update(pdes);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
-}
-
-std::vector<CmpOutcome> ExperimentRunner::run_cmp_grid(
-    const std::vector<CmpSpec>& specs, const BatchOptions& options,
-    const cmp::CmpConfig& cmp) const {
-  std::vector<CmpOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    if (spec.access == nullptr) {
-      throw ConfigError("cmp spec '" + spec.workload +
-                        "' has no access trace attached (deserialized specs "
-                        "must be re-armed with make_cmp_spec before running)");
-    }
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.telemetry = options.telemetry;
-    // Always sequential: cmp traffic is closed-loop by construction.
-    outcomes[i].result = cmp_run(
-        sequential_factory_for_spec(spec.arch, spec.factory, spec.custom),
-        *spec.access, cmp, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
+  return run_batch<LatencyResult>(
+      specs, options, [this](const LatencySpec& spec, const RunProbes& p) {
+        return latency_run(network_for(config_.sequential(), spec.arch,
+                                       spec.factory, spec.custom),
+                           spec.bench, spec.injected_flits_per_ns,
+                           spec.windows, spec.seed == 0 ? seed_ : spec.seed,
+                           p);
+      });
 }
 
 std::vector<PowerOutcome> ExperimentRunner::run_power_sweep(
     const std::vector<PowerSpec>& specs, const BatchOptions& options) const {
-  std::vector<PowerOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.telemetry = options.telemetry;
-    outcomes[i].result = power_run(
-        sequential_factory_for_spec(spec.arch, spec.factory, spec.custom),
-        spec.bench, spec.injected_flits_per_ns, spec.windows,
-        spec.seed == 0 ? seed_ : spec.seed, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
+  return run_batch<PowerResult>(
+      specs, options, [this](const PowerSpec& spec, const RunProbes& p) {
+        return power_run(network_for(config_.sequential(), spec.arch,
+                                     spec.factory, spec.custom),
+                         spec.bench, spec.injected_flits_per_ns, spec.windows,
+                         spec.seed == 0 ? seed_ : spec.seed, p);
+      });
+}
+
+std::vector<WorkloadOutcome> ExperimentRunner::run_workload_grid(
+    const std::vector<WorkloadSpec>& specs, const BatchOptions& options) const {
+  return run_batch<WorkloadResult>(
+      specs, options, [this](const WorkloadSpec& spec, const RunProbes& p) {
+        if (spec.trace == nullptr) {
+          throw ConfigError(
+              "workload spec '" + spec.workload +
+              "' has no trace attached (deserialized specs must be re-armed "
+              "with make_workload_spec before running)");
+        }
+        // Timed replay may run partitioned; closed-loop replay may not.
+        const bool closed = spec.mode == workload::ReplayMode::kClosedLoop;
+        return workload_run(
+            network_for(closed ? config_.sequential() : config_, spec.arch,
+                        spec.factory, spec.custom),
+            *spec.trace, spec.mode, p);
+      });
+}
+
+std::vector<CmpOutcome> ExperimentRunner::run_cmp_grid(
+    const std::vector<CmpSpec>& specs, const BatchOptions& options) const {
+  return run_batch<CmpResult>(
+      specs, options, [this](const CmpSpec& spec, const RunProbes& p) {
+        if (spec.access == nullptr) {
+          throw ConfigError(
+              "cmp spec '" + spec.workload +
+              "' has no access trace attached (deserialized specs must be "
+              "re-armed with make_cmp_spec before running)");
+        }
+        return cmp_run(network_for(config_.sequential(), spec.arch,
+                                   spec.factory, spec.custom),
+                       *spec.access, p);
+      });
 }
 
 }  // namespace specnoc::stats

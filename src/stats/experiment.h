@@ -21,7 +21,6 @@
 #include <optional>
 #include <vector>
 
-#include "cmp/config.h"
 #include "core/architecture.h"
 #include "core/config.h"
 #include "core/mot_network.h"
@@ -117,6 +116,17 @@ struct RunProbes {
   TelemetryOptions telemetry = {};
 };
 
+/// What a batch API reports for one spec. `result` is valid only when
+/// run.ok; `metrics` is present when the batch ran with
+/// BatchOptions::collect_metrics and the run succeeded.
+template <class Spec, class Result>
+struct Outcome {
+  Spec spec;
+  Result result;
+  sim::RunOutcome run;
+  std::optional<MetricsSnapshot> metrics;
+};
+
 /// One cell of a saturation grid. `factory` (when set) overrides the
 /// architecture's canonical network — used for custom design points;
 /// `seed` = 0 means the runner's own seed. `custom` is a stable label for
@@ -132,13 +142,7 @@ struct SaturationSpec {
   std::string custom;
 };
 
-struct SaturationOutcome {
-  SaturationSpec spec;
-  SaturationResult result;  ///< valid only when run.ok
-  sim::RunOutcome run;
-  /// Present when the grid ran with BatchOptions::collect_metrics.
-  std::optional<MetricsSnapshot> metrics;
-};
+using SaturationOutcome = Outcome<SaturationSpec, SaturationResult>;
 
 /// One open-loop latency run at an explicit injected rate. `custom` as in
 /// SaturationSpec: a stable label identifying a non-canonical factory.
@@ -152,13 +156,7 @@ struct LatencySpec {
   std::string custom;
 };
 
-struct LatencyOutcome {
-  LatencySpec spec;
-  LatencyResult result;  ///< valid only when run.ok
-  sim::RunOutcome run;
-  /// Present when the sweep ran with BatchOptions::collect_metrics.
-  std::optional<MetricsSnapshot> metrics;
-};
+using LatencyOutcome = Outcome<LatencySpec, LatencyResult>;
 
 /// One open-loop power run at an explicit injected rate. `custom` as in
 /// SaturationSpec: a stable label identifying a non-canonical factory.
@@ -172,13 +170,7 @@ struct PowerSpec {
   std::string custom;
 };
 
-struct PowerOutcome {
-  PowerSpec spec;
-  PowerResult result;  ///< valid only when run.ok
-  sim::RunOutcome run;
-  /// Present when the sweep ran with BatchOptions::collect_metrics.
-  std::optional<MetricsSnapshot> metrics;
-};
+using PowerOutcome = Outcome<PowerSpec, PowerResult>;
 
 /// One trace replay (workload.h subsystem). Replay is RNG-free, so unlike
 /// the open-loop specs there is no seed: the run is fully determined by
@@ -212,13 +204,7 @@ struct WorkloadSpec {
   std::string custom;
 };
 
-struct WorkloadOutcome {
-  WorkloadSpec spec;
-  WorkloadResult result;  ///< valid only when run.ok
-  sim::RunOutcome run;
-  /// Present when the grid ran with BatchOptions::collect_metrics.
-  std::optional<MetricsSnapshot> metrics;
-};
+using WorkloadOutcome = Outcome<WorkloadSpec, WorkloadResult>;
 
 /// Builds a WorkloadSpec with the trace attached and its hash computed.
 WorkloadSpec make_workload_spec(core::Architecture arch, std::string label,
@@ -260,13 +246,7 @@ struct CmpSpec {
   std::string custom;
 };
 
-struct CmpOutcome {
-  CmpSpec spec;
-  CmpResult result;  ///< valid only when run.ok
-  sim::RunOutcome run;
-  /// Present when the grid ran with BatchOptions::collect_metrics.
-  std::optional<MetricsSnapshot> metrics;
-};
+using CmpOutcome = Outcome<CmpSpec, CmpResult>;
 
 /// Builds a CmpSpec with the access trace attached and its hash computed.
 CmpSpec make_cmp_spec(core::Architecture arch, std::string label,
@@ -281,13 +261,13 @@ class ExperimentRunner {
   const SaturationResult& saturation(core::Architecture arch,
                                      traffic::BenchmarkId bench);
 
-  /// Seeds the saturation() memoization cache with an externally computed
-  /// result — e.g. outcomes loaded from a sharded sweep's merged shard
-  /// file — so the protocol methods reuse it instead of re-simulating.
-  /// The result must come from a canonical run (runner seed, canonical
-  /// network); an existing cache entry is left untouched.
-  void prime_saturation(core::Architecture arch, traffic::BenchmarkId bench,
-                        const SaturationResult& result);
+  /// Seeds the saturation() memoization cache with the canonical cells
+  /// among `outcomes` — successful runs with the runner's seed (spec seed
+  /// 0), no factory and no custom label — so the protocol methods reuse
+  /// them instead of re-simulating. run_saturation_grid() calls this on
+  /// its own outcomes; sharded sweeps call it on outcomes loaded from a
+  /// merged shard file. Existing cache entries are left untouched.
+  void prime_saturation(const std::vector<SaturationOutcome>& outcomes);
 
   /// Latency at an explicit injected rate (flits/ns/source).
   LatencyResult measure_latency(core::Architecture arch,
@@ -363,42 +343,16 @@ class ExperimentRunner {
       const std::vector<WorkloadSpec>& specs,
       const BatchOptions& options = {}) const;
 
-  /// Co-simulates `access` on a fresh network. Closed-loop (zero-lookahead
-  /// feedback), so canonical networks are always built sequential; a
-  /// partitioned custom factory raises ConfigError. RNG-free and const:
-  /// safe to call concurrently from batch workers.
-  CmpResult run_cmp(const NetworkFactory& factory,
-                    const workload::AccessTrace& access,
-                    const cmp::CmpConfig& cmp = {}) const;
-  /// Specs must carry their access trace (make_cmp_spec); a spec whose
-  /// trace is null fails in its outcome slot with a ConfigError message.
-  /// All runs use `cmp` (the cache/DRAM geometry is grid-uniform, like the
-  /// runner's NetworkConfig).
+  /// CMP co-simulation with the default cache/DRAM geometry
+  /// (cmp::CmpConfig). Closed-loop (zero-lookahead feedback), so canonical
+  /// networks are always built sequential; a partitioned custom factory
+  /// raises ConfigError. Specs must carry their access trace
+  /// (make_cmp_spec); a spec whose trace is null fails in its outcome slot
+  /// with a ConfigError message.
   std::vector<CmpOutcome> run_cmp_grid(const std::vector<CmpSpec>& specs,
-                                       const BatchOptions& options = {},
-                                       const cmp::CmpConfig& cmp = {}) const;
+                                       const BatchOptions& options = {}) const;
 
  private:
-  NetworkFactory factory_for(core::Architecture arch) const;
-  /// Resolves a spec's network: an explicit factory wins; otherwise a
-  /// non-empty `custom` label is rebuilt from the process-wide
-  /// ArchitectureRegistry (how deserialized design points — whose
-  /// factories cannot travel through shard files — come back to life);
-  /// otherwise the architecture's canonical network.
-  NetworkFactory factory_for_spec(core::Architecture arch,
-                                  const NetworkFactory& factory,
-                                  const std::string& custom) const;
-  /// As factory_for, but with sim_threads forced to 1. The latency drain
-  /// loop, power accounting, and closed-loop replay are event-granular
-  /// protocols that have no windowed equivalent, so their canonical
-  /// networks are always built sequential regardless of config_.sim_threads
-  /// (custom factories are the caller's contract; a partitioned network
-  /// handed to these protocols raises ConfigError).
-  NetworkFactory sequential_factory_for(core::Architecture arch) const;
-  NetworkFactory sequential_factory_for_spec(core::Architecture arch,
-                                             const NetworkFactory& factory,
-                                             const std::string& custom) const;
-
   /// Single-run workers behind both the public serial methods and the
   /// batch APIs; `probes` selects the measurements to harvest (see
   /// RunProbes). A run that throws dumps the telemetry flight recorder to
@@ -423,7 +377,7 @@ class ExperimentRunner {
                               const RunProbes& probes) const;
   CmpResult cmp_run(const NetworkFactory& factory,
                     const workload::AccessTrace& access,
-                    const cmp::CmpConfig& cmp, const RunProbes& probes) const;
+                    const RunProbes& probes) const;
 
   core::NetworkConfig config_;
   std::uint64_t seed_;

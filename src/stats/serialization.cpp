@@ -50,36 +50,75 @@ std::string custom_from_json(const Json& json) {
   return custom != nullptr ? custom->as_string() : std::string();
 }
 
+// A spec's JSON opens with its kind's wire name.
+template <class Spec>
+Json kind_json() {
+  Json json = Json::object();
+  json.set("kind", ExperimentKind<Spec>::kName);
+  return json;
+}
+
+template <class Spec>
+void expect_kind(const Json& json) {
+  const char* kind = ExperimentKind<Spec>::kName;
+  const std::string& got = json.at("kind").as_string();
+  if (got != kind) {
+    throw ConfigError(std::string("spec kind mismatch: expected ") + kind +
+                      ", got " + got);
+  }
+}
+
+// Latency and power specs carry the same fields.
+template <class Spec>
+Json open_loop_spec_to_json(const Spec& spec) {
+  Json json = kind_json<Spec>();
+  set_spec_base(json, spec.arch, spec.bench, spec.seed, spec.custom);
+  json.set("injected_flits_per_ns", spec.injected_flits_per_ns);
+  json.set("windows", windows_to_json(spec.windows));
+  return json;
+}
+
+template <class Spec>
+Spec open_loop_spec_from_json(const Json& json) {
+  expect_kind<Spec>(json);
+  Spec spec;
+  spec.arch = arch_from_json(json);
+  spec.bench = traffic::benchmark_from_string(json.at("bench").as_string());
+  spec.seed = json.at("seed").as_u64();
+  spec.custom = custom_from_json(json);
+  spec.injected_flits_per_ns = json.at("injected_flits_per_ns").as_double();
+  spec.windows = windows_from_json(json.at("windows"));
+  return spec;
+}
+
+template <class Spec, class Result>
+Outcome<Spec, Result> outcome_from_json(const Json& json,
+                                        Spec (*spec_from)(const Json&),
+                                        Result (*result_from)(const Json&)) {
+  Outcome<Spec, Result> outcome;
+  outcome.spec = spec_from(json.at("spec"));
+  outcome.run = run_outcome_from_json(json.at("run"));
+  if (outcome.run.ok) outcome.result = result_from(json.at("result"));
+  if (const Json* metrics = json.find("metrics"); metrics != nullptr) {
+    outcome.metrics = metrics_snapshot_from_json(*metrics);
+  }
+  return outcome;
+}
+
 }  // namespace
 
 Json to_json(const SaturationSpec& spec) {
-  Json json = Json::object();
-  json.set("kind", "saturation");
+  Json json = kind_json<SaturationSpec>();
   set_spec_base(json, spec.arch, spec.bench, spec.seed, spec.custom);
   return json;
 }
 
-Json to_json(const LatencySpec& spec) {
-  Json json = Json::object();
-  json.set("kind", "latency");
-  set_spec_base(json, spec.arch, spec.bench, spec.seed, spec.custom);
-  json.set("injected_flits_per_ns", spec.injected_flits_per_ns);
-  json.set("windows", windows_to_json(spec.windows));
-  return json;
-}
+Json to_json(const LatencySpec& spec) { return open_loop_spec_to_json(spec); }
 
-Json to_json(const PowerSpec& spec) {
-  Json json = Json::object();
-  json.set("kind", "power");
-  set_spec_base(json, spec.arch, spec.bench, spec.seed, spec.custom);
-  json.set("injected_flits_per_ns", spec.injected_flits_per_ns);
-  json.set("windows", windows_to_json(spec.windows));
-  return json;
-}
+Json to_json(const PowerSpec& spec) { return open_loop_spec_to_json(spec); }
 
 Json to_json(const WorkloadSpec& spec) {
-  Json json = Json::object();
-  json.set("kind", "workload");
+  Json json = kind_json<WorkloadSpec>();
   json.set("arch", core::to_string(spec.arch));
   json.set("workload", spec.workload);
   json.set("mode", workload::to_string(spec.mode));
@@ -89,8 +128,7 @@ Json to_json(const WorkloadSpec& spec) {
 }
 
 Json to_json(const CmpSpec& spec) {
-  Json json = Json::object();
-  json.set("kind", "cmp");
+  Json json = kind_json<CmpSpec>();
   json.set("arch", core::to_string(spec.arch));
   json.set("workload", spec.workload);
   json.set("access_hash", spec.access_hash);
@@ -98,20 +136,8 @@ Json to_json(const CmpSpec& spec) {
   return json;
 }
 
-namespace {
-
-void expect_kind(const Json& json, const char* kind) {
-  const std::string& got = json.at("kind").as_string();
-  if (got != kind) {
-    throw ConfigError(std::string("spec kind mismatch: expected ") + kind +
-                      ", got " + got);
-  }
-}
-
-}  // namespace
-
 SaturationSpec saturation_spec_from_json(const Json& json) {
-  expect_kind(json, "saturation");
+  expect_kind<SaturationSpec>(json);
   SaturationSpec spec;
   spec.arch = arch_from_json(json);
   spec.bench = traffic::benchmark_from_string(json.at("bench").as_string());
@@ -121,31 +147,15 @@ SaturationSpec saturation_spec_from_json(const Json& json) {
 }
 
 LatencySpec latency_spec_from_json(const Json& json) {
-  expect_kind(json, "latency");
-  LatencySpec spec;
-  spec.arch = arch_from_json(json);
-  spec.bench = traffic::benchmark_from_string(json.at("bench").as_string());
-  spec.seed = json.at("seed").as_u64();
-  spec.custom = custom_from_json(json);
-  spec.injected_flits_per_ns = json.at("injected_flits_per_ns").as_double();
-  spec.windows = windows_from_json(json.at("windows"));
-  return spec;
+  return open_loop_spec_from_json<LatencySpec>(json);
 }
 
 PowerSpec power_spec_from_json(const Json& json) {
-  expect_kind(json, "power");
-  PowerSpec spec;
-  spec.arch = arch_from_json(json);
-  spec.bench = traffic::benchmark_from_string(json.at("bench").as_string());
-  spec.seed = json.at("seed").as_u64();
-  spec.custom = custom_from_json(json);
-  spec.injected_flits_per_ns = json.at("injected_flits_per_ns").as_double();
-  spec.windows = windows_from_json(json.at("windows"));
-  return spec;
+  return open_loop_spec_from_json<PowerSpec>(json);
 }
 
 WorkloadSpec workload_spec_from_json(const Json& json) {
-  expect_kind(json, "workload");
+  expect_kind<WorkloadSpec>(json);
   WorkloadSpec spec;
   spec.arch = arch_from_json(json);
   spec.workload = json.at("workload").as_string();
@@ -156,7 +166,7 @@ WorkloadSpec workload_spec_from_json(const Json& json) {
 }
 
 CmpSpec cmp_spec_from_json(const Json& json) {
-  expect_kind(json, "cmp");
+  expect_kind<CmpSpec>(json);
   CmpSpec spec;
   spec.arch = arch_from_json(json);
   spec.workload = json.at("workload").as_string();
@@ -312,7 +322,7 @@ sim::RunOutcome run_outcome_from_json(const Json& json) {
   run.ok = json.at("ok").as_bool();
   const Json* error = json.find("error");
   if (error != nullptr) run.error = error->as_string();
-  run.telemetry.attempts = static_cast<unsigned>(json.at("attempts").as_u64());
+  run.telemetry.attempts = json.at("attempts").as_int<unsigned>();
   run.telemetry.events_executed = json.at("events").as_u64();
   run.telemetry.wall_ms = json.at("wall_ms").as_double();
   return run;
@@ -418,7 +428,7 @@ MetricsSnapshot metrics_snapshot_from_json(const Json& json) {
   for (const Json& entry : json.at("sites").items()) {
     MetricsSite site;
     site.kind = noc::node_kind_from_string(entry.at("kind").as_string());
-    site.level = static_cast<std::int32_t>(entry.at("level").as_i64());
+    site.level = entry.at("level").as_int<std::int32_t>();
     site.counters.kills = entry.at("kills").as_u64();
     site.counters.prealloc_hits = entry.at("prealloc_hits").as_u64();
     site.counters.prealloc_misses = entry.at("prealloc_misses").as_u64();
@@ -443,7 +453,7 @@ MetricsSnapshot metrics_snapshot_from_json(const Json& json) {
     snapshot.channels.push_back(std::move(channel));
   }
   if (const Json* pdes = json.find("pdes"); pdes != nullptr) {
-    snapshot.pdes.lanes = static_cast<std::uint32_t>(pdes->at("lanes").as_u64());
+    snapshot.pdes.lanes = pdes->at("lanes").as_int<std::uint32_t>();
     snapshot.pdes.lookahead_ps = pdes->at("lookahead_ps").as_i64();
     snapshot.pdes.windows = pdes->at("windows").as_u64();
     for (const Json& events : pdes->at("lane_events").items()) {
@@ -491,96 +501,27 @@ MetricsSnapshot metrics_snapshot_from_json(const Json& json) {
   return snapshot;
 }
 
-namespace {
-
-template <typename Outcome>
-Json outcome_to_json(const Outcome& outcome) {
-  Json json = Json::object();
-  json.set("spec", to_json(outcome.spec));
-  json.set("run", to_json(outcome.run));
-  // The result slot is only meaningful for successful runs; omitting it
-  // for failures keeps failed rows small and makes the round trip yield
-  // the same default-constructed result the in-process path reports.
-  if (outcome.run.ok) json.set("result", to_json(outcome.result));
-  if (outcome.run.ok && outcome.metrics.has_value()) {
-    json.set("metrics", to_json(*outcome.metrics));
-  }
-  return json;
-}
-
-template <typename Outcome>
-void metrics_from_json(Outcome& outcome, const Json& json) {
-  const Json* metrics = json.find("metrics");
-  if (metrics != nullptr) {
-    outcome.metrics = metrics_snapshot_from_json(*metrics);
-  }
-}
-
-}  // namespace
-
-Json to_json(const SaturationOutcome& outcome) {
-  return outcome_to_json(outcome);
-}
-Json to_json(const LatencyOutcome& outcome) { return outcome_to_json(outcome); }
-Json to_json(const PowerOutcome& outcome) { return outcome_to_json(outcome); }
-Json to_json(const WorkloadOutcome& outcome) {
-  return outcome_to_json(outcome);
-}
-Json to_json(const CmpOutcome& outcome) { return outcome_to_json(outcome); }
-
 SaturationOutcome saturation_outcome_from_json(const Json& json) {
-  SaturationOutcome outcome;
-  outcome.spec = saturation_spec_from_json(json.at("spec"));
-  outcome.run = run_outcome_from_json(json.at("run"));
-  if (outcome.run.ok) {
-    outcome.result = saturation_result_from_json(json.at("result"));
-  }
-  metrics_from_json(outcome, json);
-  return outcome;
+  return outcome_from_json(json, saturation_spec_from_json,
+                           saturation_result_from_json);
 }
 
 LatencyOutcome latency_outcome_from_json(const Json& json) {
-  LatencyOutcome outcome;
-  outcome.spec = latency_spec_from_json(json.at("spec"));
-  outcome.run = run_outcome_from_json(json.at("run"));
-  if (outcome.run.ok) {
-    outcome.result = latency_result_from_json(json.at("result"));
-  }
-  metrics_from_json(outcome, json);
-  return outcome;
+  return outcome_from_json(json, latency_spec_from_json,
+                           latency_result_from_json);
 }
 
 PowerOutcome power_outcome_from_json(const Json& json) {
-  PowerOutcome outcome;
-  outcome.spec = power_spec_from_json(json.at("spec"));
-  outcome.run = run_outcome_from_json(json.at("run"));
-  if (outcome.run.ok) {
-    outcome.result = power_result_from_json(json.at("result"));
-  }
-  metrics_from_json(outcome, json);
-  return outcome;
+  return outcome_from_json(json, power_spec_from_json, power_result_from_json);
 }
 
 WorkloadOutcome workload_outcome_from_json(const Json& json) {
-  WorkloadOutcome outcome;
-  outcome.spec = workload_spec_from_json(json.at("spec"));
-  outcome.run = run_outcome_from_json(json.at("run"));
-  if (outcome.run.ok) {
-    outcome.result = workload_result_from_json(json.at("result"));
-  }
-  metrics_from_json(outcome, json);
-  return outcome;
+  return outcome_from_json(json, workload_spec_from_json,
+                           workload_result_from_json);
 }
 
 CmpOutcome cmp_outcome_from_json(const Json& json) {
-  CmpOutcome outcome;
-  outcome.spec = cmp_spec_from_json(json.at("spec"));
-  outcome.run = run_outcome_from_json(json.at("run"));
-  if (outcome.run.ok) {
-    outcome.result = cmp_result_from_json(json.at("result"));
-  }
-  metrics_from_json(outcome, json);
-  return outcome;
+  return outcome_from_json(json, cmp_spec_from_json, cmp_result_from_json);
 }
 
 namespace {

@@ -76,19 +76,82 @@ sim::RunOutcome run_outcome_from_json(const util::Json& json);
 util::Json to_json(const MetricsSnapshot& snapshot);
 MetricsSnapshot metrics_snapshot_from_json(const util::Json& json);
 
-// --- full outcomes (spec + result + run) ---------------------------------
+// --- full outcomes (spec + run [+ result] [+ metrics]) --------------------
 
-util::Json to_json(const SaturationOutcome& outcome);
-util::Json to_json(const LatencyOutcome& outcome);
-util::Json to_json(const PowerOutcome& outcome);
-util::Json to_json(const WorkloadOutcome& outcome);
-util::Json to_json(const CmpOutcome& outcome);
+/// The result slot is only meaningful for successful runs; omitting it for
+/// failures keeps failed rows small and makes the round trip yield the same
+/// default-constructed result the in-process path reports.
+template <class Spec, class Result>
+util::Json to_json(const Outcome<Spec, Result>& outcome) {
+  util::Json json = util::Json::object();
+  json.set("spec", to_json(outcome.spec));
+  json.set("run", to_json(outcome.run));
+  if (outcome.run.ok) json.set("result", to_json(outcome.result));
+  if (outcome.run.ok && outcome.metrics.has_value()) {
+    json.set("metrics", to_json(*outcome.metrics));
+  }
+  return json;
+}
 
 SaturationOutcome saturation_outcome_from_json(const util::Json& json);
 LatencyOutcome latency_outcome_from_json(const util::Json& json);
 PowerOutcome power_outcome_from_json(const util::Json& json);
 WorkloadOutcome workload_outcome_from_json(const util::Json& json);
 CmpOutcome cmp_outcome_from_json(const util::Json& json);
+
+// --- experiment kinds ----------------------------------------------------
+
+/// Per-kind identity, one specialization per spec type: `kName` is the
+/// wire name written as each spec's "kind" and each sweep grid's kind,
+/// `decode` reads a serialized outcome, and `run` is the ExperimentRunner
+/// batch method that executes a grid of the kind. The codecs and
+/// ShardedSweep take all three from here.
+template <class Spec>
+struct ExperimentKind;
+
+template <>
+struct ExperimentKind<SaturationSpec> {
+  using Result = SaturationResult;
+  static constexpr const char* kName = "saturation";
+  static constexpr auto decode = &saturation_outcome_from_json;
+  static constexpr auto run = &ExperimentRunner::run_saturation_grid;
+};
+
+template <>
+struct ExperimentKind<LatencySpec> {
+  using Result = LatencyResult;
+  static constexpr const char* kName = "latency";
+  static constexpr auto decode = &latency_outcome_from_json;
+  static constexpr auto run = &ExperimentRunner::run_latency_sweep;
+};
+
+template <>
+struct ExperimentKind<PowerSpec> {
+  using Result = PowerResult;
+  static constexpr const char* kName = "power";
+  static constexpr auto decode = &power_outcome_from_json;
+  static constexpr auto run = &ExperimentRunner::run_power_sweep;
+};
+
+template <>
+struct ExperimentKind<WorkloadSpec> {
+  using Result = WorkloadResult;
+  static constexpr const char* kName = "workload";
+  static constexpr auto decode = &workload_outcome_from_json;
+  static constexpr auto run = &ExperimentRunner::run_workload_grid;
+};
+
+template <>
+struct ExperimentKind<CmpSpec> {
+  using Result = CmpResult;
+  static constexpr const char* kName = "cmp";
+  static constexpr auto decode = &cmp_outcome_from_json;
+  static constexpr auto run = &ExperimentRunner::run_cmp_grid;
+};
+
+/// The outcome type of a spec's kind.
+template <class Spec>
+using OutcomeOf = Outcome<Spec, typename ExperimentKind<Spec>::Result>;
 
 // --- identity ------------------------------------------------------------
 

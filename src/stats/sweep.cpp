@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <type_traits>
 
 #include "util/error.h"
 
@@ -30,7 +32,7 @@ SweepManifest manifest_from_json(const Json& json) {
                       json.at("format").as_string() + "')");
   }
   SweepManifest manifest;
-  manifest.schema_version = static_cast<int>(json.at("schema").as_i64());
+  manifest.schema_version = json.at("schema").as_int<int>();
   if (manifest.schema_version < kSweepSchemaVersionMin ||
       manifest.schema_version > kSweepSchemaVersion) {
     throw ConfigError("unsupported sweep schema version " +
@@ -40,8 +42,8 @@ SweepManifest manifest_from_json(const Json& json) {
                       std::to_string(kSweepSchemaVersion) + ")");
   }
   manifest.tool = json.at("tool").as_string();
-  manifest.shard.index = static_cast<unsigned>(json.at("shard").as_u64());
-  manifest.shard.count = static_cast<unsigned>(json.at("shards").as_u64());
+  manifest.shard.index = json.at("shard").as_int<unsigned>();
+  manifest.shard.count = json.at("shards").as_int<unsigned>();
   if (manifest.shard.count == 0 ||
       manifest.shard.index >= manifest.shard.count) {
     throw ConfigError("manifest has invalid shard " +
@@ -153,29 +155,25 @@ ShardFile load_shard_file(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    const auto fail = [&](const std::string& why) -> ConfigError {
-      return ConfigError(path + ":" + std::to_string(line_no) + ": " + why);
-    };
-    Json json;
+    // Every error raised on this line, the JSON parser's and the field
+    // accessors' included, names the line.
     try {
-      json = util::json_parse(line);
-    } catch (const ConfigError& error) {
-      throw fail(error.what());
-    }
-    try {
+      const Json json = util::json_parse(line);
       const std::string& record = json.at("record").as_string();
       if (record == "manifest") {
-        if (have_manifest) throw fail("duplicate manifest record");
+        if (have_manifest) throw ConfigError("duplicate manifest record");
         file.manifest = manifest_from_json(json);
         have_manifest = true;
         continue;
       }
-      if (!have_manifest) throw fail("first record must be the manifest");
-      if (file.complete) throw fail("record after the done record");
+      if (!have_manifest) {
+        throw ConfigError("first record must be the manifest");
+      }
+      if (file.complete) throw ConfigError("record after the done record");
       if (record == "grid") {
         SweepGrid grid = grid_from_json(json);
         if (file.find_grid(grid.name) != nullptr) {
-          throw fail("duplicate grid '" + grid.name + "'");
+          throw ConfigError("duplicate grid '" + grid.name + "'");
         }
         file.grids.push_back(std::move(grid));
         continue;
@@ -184,19 +182,20 @@ ShardFile load_shard_file(const std::string& path) {
         const std::string& grid_name = json.at("grid").as_string();
         const SweepGrid* grid = file.find_grid(grid_name);
         if (grid == nullptr) {
-          throw fail("outcome for unregistered grid '" + grid_name + "'");
+          throw ConfigError("outcome for unregistered grid '" + grid_name +
+                            "'");
         }
         SweepRecord rec;
         rec.cell = static_cast<std::size_t>(json.at("cell").as_u64());
         if (rec.cell >= grid->size) {
-          throw fail("cell " + std::to_string(rec.cell) +
-                     " out of range for grid '" + grid_name + "' (size " +
-                     std::to_string(grid->size) + ")");
+          throw ConfigError("cell " + std::to_string(rec.cell) +
+                            " out of range for grid '" + grid_name +
+                            "' (size " + std::to_string(grid->size) + ")");
         }
         rec.key = json.at("key").as_string();
         rec.status = json.at("status").as_string();
         if (!valid_status(rec.status)) {
-          throw fail("unknown status '" + rec.status + "'");
+          throw ConfigError("unknown status '" + rec.status + "'");
         }
         rec.data = json.at("data");
         // Later records replace earlier ones: an appended re-run of a
@@ -208,9 +207,10 @@ ShardFile load_shard_file(const std::string& path) {
         file.complete = true;
         continue;
       }
-      throw fail("unknown record type '" + record + "'");
-    } catch (const ConfigError&) {
-      throw;
+      throw ConfigError("unknown record type '" + record + "'");
+    } catch (const ConfigError& error) {
+      throw ConfigError(path + ":" + std::to_string(line_no) + ": " +
+                        error.what());
     }
   }
   if (!have_manifest) {
@@ -378,94 +378,6 @@ ShardFile merge_shards(const std::vector<ShardFile>& inputs,
 
 namespace {
 
-struct SaturationTraits {
-  using Spec = SaturationSpec;
-  using Outcome = SaturationOutcome;
-  static constexpr const char* kKind = "saturation";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_saturation_grid(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return saturation_outcome_from_json(json);
-  }
-};
-
-struct LatencyTraits {
-  using Spec = LatencySpec;
-  using Outcome = LatencyOutcome;
-  static constexpr const char* kKind = "latency";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_latency_sweep(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return latency_outcome_from_json(json);
-  }
-};
-
-struct PowerTraits {
-  using Spec = PowerSpec;
-  using Outcome = PowerOutcome;
-  static constexpr const char* kKind = "power";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_power_sweep(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return power_outcome_from_json(json);
-  }
-};
-
-struct WorkloadTraits {
-  using Spec = WorkloadSpec;
-  using Outcome = WorkloadOutcome;
-  static constexpr const char* kKind = "workload";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_workload_grid(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return workload_outcome_from_json(json);
-  }
-};
-
-struct CmpTraits {
-  using Spec = CmpSpec;
-  using Outcome = CmpOutcome;
-  static constexpr const char* kKind = "cmp";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_cmp_grid(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return cmp_outcome_from_json(json);
-  }
-};
-
-/// Rendered saturation outcomes seed the runner's memoization cache so
-/// protocol methods (saturation(), power_at_baseline_fraction(), ...)
-/// reuse them exactly as a live run_saturation_grid() call would.
-void prime_runner(ExperimentRunner& runner,
-                  const std::vector<SaturationOutcome>& outcomes) {
-  for (const auto& outcome : outcomes) {
-    if (outcome.run.ok && outcome.spec.seed == 0 && !outcome.spec.factory &&
-        outcome.spec.custom.empty()) {
-      runner.prime_saturation(outcome.spec.arch, outcome.spec.bench,
-                              outcome.result);
-    }
-  }
-}
-void prime_runner(ExperimentRunner&, const std::vector<LatencyOutcome>&) {}
-void prime_runner(ExperimentRunner&, const std::vector<PowerOutcome>&) {}
-void prime_runner(ExperimentRunner&, const std::vector<WorkloadOutcome>&) {}
-void prime_runner(ExperimentRunner&, const std::vector<CmpOutcome>&) {}
-
 bool file_has_content(const std::string& path) {
   std::ifstream in(path);
   return in.good() && in.peek() != std::ifstream::traits_type::eof();
@@ -553,40 +465,24 @@ ShardedSweep::ShardedSweep(SweepOptions options)
 std::vector<SaturationOutcome> ShardedSweep::anchor_saturation(
     ExperimentRunner& runner, const std::vector<SaturationSpec>& specs,
     const std::string& name) {
-  if (options_.mode == SweepMode::kRun) {
-    if (streaming()) {
-      return runner.run_saturation_grid(
-          specs, streaming_batch(name, spec_keys(specs), {}));
-    }
-    return runner.run_saturation_grid(specs, labeled_batch(name));
+  // Run and render modes, and --anchors-only workers (which simulate only
+  // their owned cells and exit via finish() next), treat anchors like any
+  // other grid.
+  if (options_.mode != SweepMode::kWorker || options_.anchors_only) {
+    return run_grid(name, runner, specs, /*shared=*/true);
   }
 
   const std::vector<std::string> keys = spec_keys(specs);
-  SweepGrid grid{name, SaturationTraits::kKind, specs.size(),
+  SweepGrid grid{name, ExperimentKind<SaturationSpec>::kName, specs.size(),
                  grid_hash(keys)};
   grid.shared = true;
-
-  if (options_.mode == SweepMode::kRender) {
-    if (file_.find_grid(name) == nullptr) {
-      // The merged file predates shared anchor grids (schema-1 workers
-      // never recorded anchors): simulate them, exactly as before.
-      return runner.run_saturation_grid(specs, labeled_batch(name));
-    }
-    auto outcomes = load_grid<SaturationTraits>(
-        file_, "--from file '" + options_.from_path + "'", grid, keys, specs,
-        /*strict=*/false);
-    prime_runner(runner, outcomes);
-    return outcomes;
+  if (file_.find_grid(name) != nullptr) {
+    throw ConfigError("sweep grid '" + name + "' registered twice");
   }
 
-  // Worker. --anchors-only and the classic single-invocation worker both
-  // go through run_grid, which registers the shared grid and records this
-  // shard's owned cells. --anchors-from skips simulation entirely.
+  // --anchors-from skips simulation entirely.
   if (!options_.anchors_from.empty()) {
-    if (file_.find_grid(name) != nullptr) {
-      throw ConfigError("sweep grid '" + name + "' registered twice");
-    }
-    auto outcomes = load_grid<SaturationTraits>(
+    auto outcomes = load_grid(
         anchors_, "--anchors-from file '" + options_.anchors_from + "'", grid,
         keys, specs, /*strict=*/true);
     // Copy the anchor records into this shard file: the merged downstream
@@ -601,25 +497,15 @@ std::vector<SaturationOutcome> ShardedSweep::anchor_saturation(
       }
     }
     flush();
-    prime_runner(runner, outcomes);
+    runner.prime_saturation(outcomes);
     return outcomes;
-  }
-
-  if (options_.anchors_only) {
-    // Phase 1: simulate only the owned cells (resume carry-over included);
-    // the harness exits via finish() before building downstream grids.
-    return run_grid<SaturationTraits>(name, runner, specs, /*shared=*/true);
   }
 
   // Classic worker: every anchor result is needed to construct the
   // downstream specs, so the full grid still runs — but the owned cells
   // are now recorded, giving the merged file complete anchor coverage.
-  auto outcomes = runner.run_saturation_grid(
-      specs, streaming() ? streaming_batch(name, keys, {})
-                         : labeled_batch(name));
-  if (file_.find_grid(name) != nullptr) {
-    throw ConfigError("sweep grid '" + name + "' registered twice");
-  }
+  auto outcomes =
+      runner.run_saturation_grid(specs, streaming_batch(name, keys, {}));
   file_.grids.push_back(grid);
   auto& out_records = file_.records[name];
   const sim::ShardPlan plan(options_.shard.count);
@@ -659,23 +545,25 @@ BatchOptions ShardedSweep::streaming_batch(
   return batch;
 }
 
-template <typename Traits>
-std::vector<typename Traits::Outcome> ShardedSweep::run_grid(
+template <class Spec>
+std::vector<OutcomeOf<Spec>> ShardedSweep::run_grid(
     const std::string& name, ExperimentRunner& runner,
-    const std::vector<typename Traits::Spec>& specs, bool shared) {
-  using Outcome = typename Traits::Outcome;
-  using Spec = typename Traits::Spec;
+    const std::vector<Spec>& specs, bool shared) {
+  using Outcome = OutcomeOf<Spec>;
+  using Kind = ExperimentKind<Spec>;
 
-  if (options_.mode == SweepMode::kRun) {
-    if (streaming()) {
-      return Traits::run(runner, specs,
-                         streaming_batch(name, spec_keys(specs), {}));
-    }
-    return Traits::run(runner, specs, labeled_batch(name));
+  // Schema-1 merged files predate shared anchor grids (their workers never
+  // recorded anchors), so render mode simulates those, exactly as before.
+  if (options_.mode == SweepMode::kRun ||
+      (options_.mode == SweepMode::kRender && shared &&
+       file_.find_grid(name) == nullptr)) {
+    return std::invoke(Kind::run, runner, specs,
+                       streaming() ? streaming_batch(name, spec_keys(specs), {})
+                                   : labeled_batch(name));
   }
 
   const std::vector<std::string> keys = spec_keys(specs);
-  SweepGrid grid{name, Traits::kKind, specs.size(), grid_hash(keys)};
+  SweepGrid grid{name, Kind::kName, specs.size(), grid_hash(keys)};
   grid.shared = shared;
 
   if (options_.mode == SweepMode::kWorker) {
@@ -721,7 +609,7 @@ std::vector<typename Traits::Outcome> ShardedSweep::run_grid(
         }
       }
       if (carried != nullptr) {
-        outcomes[cell] = Traits::from_json(carried->data);
+        outcomes[cell] = Kind::decode(carried->data);
         outcomes[cell].spec = specs[cell];
         out_records.emplace(cell, *carried);
         ++carried_;
@@ -733,10 +621,8 @@ std::vector<typename Traits::Outcome> ShardedSweep::run_grid(
     std::vector<Spec> subset;
     subset.reserve(to_run.size());
     for (const std::size_t cell : to_run) subset.push_back(specs[cell]);
-    const std::vector<Outcome> fresh =
-        Traits::run(runner, subset,
-                    streaming() ? streaming_batch(name, keys, to_run)
-                                : labeled_batch(name));
+    const std::vector<Outcome> fresh = std::invoke(
+        Kind::run, runner, subset, streaming_batch(name, keys, to_run));
     for (std::size_t j = 0; j < to_run.size(); ++j) {
       const std::size_t cell = to_run[j];
       outcomes[cell] = fresh[j];
@@ -754,19 +640,20 @@ std::vector<typename Traits::Outcome> ShardedSweep::run_grid(
   }
 
   // kRender: outcomes come from the loaded (merged) file.
-  auto outcomes = load_grid<Traits>(
-      file_, "--from file '" + options_.from_path + "'", grid, keys, specs,
-      /*strict=*/false);
-  prime_runner(runner, outcomes);
+  auto outcomes = load_grid(file_, "--from file '" + options_.from_path + "'",
+                            grid, keys, specs, /*strict=*/false);
+  if constexpr (std::is_same_v<Spec, SaturationSpec>) {
+    runner.prime_saturation(outcomes);
+  }
   return outcomes;
 }
 
-template <typename Traits>
-std::vector<typename Traits::Outcome> ShardedSweep::load_grid(
+template <class Spec>
+std::vector<OutcomeOf<Spec>> ShardedSweep::load_grid(
     const ShardFile& src, const std::string& origin, const SweepGrid& grid,
-    const std::vector<std::string>& keys,
-    const std::vector<typename Traits::Spec>& specs, bool strict) {
-  using Outcome = typename Traits::Outcome;
+    const std::vector<std::string>& keys, const std::vector<Spec>& specs,
+    bool strict) {
+  using Outcome = OutcomeOf<Spec>;
 
   const SweepGrid* loaded = src.find_grid(grid.name);
   if (loaded == nullptr) {
@@ -809,7 +696,7 @@ std::vector<typename Traits::Outcome> ShardedSweep::load_grid(
                         std::to_string(i) + " records key '" + record->key +
                         "' but this invocation expects '" + keys[i] + "'");
     }
-    outcomes[i] = Traits::from_json(record->data);
+    outcomes[i] = ExperimentKind<Spec>::decode(record->data);
     outcomes[i].spec = specs[i];
     if (!outcomes[i].run.ok) {
       if (strict) {
@@ -824,35 +711,20 @@ std::vector<typename Traits::Outcome> ShardedSweep::load_grid(
   return outcomes;
 }
 
-std::vector<SaturationOutcome> ShardedSweep::saturation_grid(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<SaturationSpec>& specs) {
-  return run_grid<SaturationTraits>(name, runner, specs);
-}
-
-std::vector<LatencyOutcome> ShardedSweep::latency_sweep(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<LatencySpec>& specs) {
-  return run_grid<LatencyTraits>(name, runner, specs);
-}
-
-std::vector<PowerOutcome> ShardedSweep::power_sweep(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<PowerSpec>& specs) {
-  return run_grid<PowerTraits>(name, runner, specs);
-}
-
-std::vector<WorkloadOutcome> ShardedSweep::workload_grid(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<WorkloadSpec>& specs) {
-  return run_grid<WorkloadTraits>(name, runner, specs);
-}
-
-std::vector<CmpOutcome> ShardedSweep::cmp_grid(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<CmpSpec>& specs) {
-  return run_grid<CmpTraits>(name, runner, specs);
-}
+template std::vector<SaturationOutcome> ShardedSweep::run_grid(
+    const std::string&, ExperimentRunner&, const std::vector<SaturationSpec>&,
+    bool);
+template std::vector<LatencyOutcome> ShardedSweep::run_grid(
+    const std::string&, ExperimentRunner&, const std::vector<LatencySpec>&,
+    bool);
+template std::vector<PowerOutcome> ShardedSweep::run_grid(
+    const std::string&, ExperimentRunner&, const std::vector<PowerSpec>&,
+    bool);
+template std::vector<WorkloadOutcome> ShardedSweep::run_grid(
+    const std::string&, ExperimentRunner&, const std::vector<WorkloadSpec>&,
+    bool);
+template std::vector<CmpOutcome> ShardedSweep::run_grid(
+    const std::string&, ExperimentRunner&, const std::vector<CmpSpec>&, bool);
 
 void ShardedSweep::flush() const {
   write_shard_file(file_, options_.out_path);

@@ -17,7 +17,7 @@
 // version-1 files — which predate shared grids — still load):
 //   {"record":"manifest","format":"specnoc-sweep","schema":2,"tool":...,
 //    "shard":i,"shards":K,"seed":S}
-//   {"record":"grid","name":...,"kind":"saturation|latency|power",
+//   {"record":"grid","name":...,"kind":<ExperimentKind name>,
 //    "size":N,"hash":<hex fnv1a64 of the N spec keys>[,"shared":true]}
 //   {"record":"outcome","grid":...,"cell":c,"key":...,
 //    "status":"ok|retried|failed","data":{spec,run[,result]}}   (x many)
@@ -80,8 +80,7 @@ struct SweepManifest {
 /// One registered grid: identity shared by every worker of the sweep.
 struct SweepGrid {
   std::string name;  ///< unique within the tool ("latency", "power", ...)
-  std::string kind;  ///< "saturation" | "latency" | "power" | "workload" |
-                     ///< "cmp"
+  std::string kind;  ///< ExperimentKind<Spec>::kName of the grid's specs
   std::size_t size = 0;  ///< full grid size across all shards
   std::string hash;      ///< grid_hash() of all spec keys, in grid order
   /// Anchor grids: multiple workers may record the same cell (identical
@@ -217,31 +216,20 @@ class ShardedSweep {
       ExperimentRunner& runner, const std::vector<SaturationSpec>& specs,
       const std::string& name = "anchor");
 
-  /// Sharded grids. `name` must be unique within the harness and identical
-  /// across its workers. In worker mode, cells not owned by this shard
-  /// come back with run.ok == false and an informative error (the harness
-  /// never renders them). In render mode, canonical saturation outcomes
-  /// also prime the runner's saturation() cache.
-  std::vector<SaturationOutcome> saturation_grid(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<SaturationSpec>& specs);
-  std::vector<LatencyOutcome> latency_sweep(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<LatencySpec>& specs);
-  std::vector<PowerOutcome> power_sweep(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<PowerSpec>& specs);
-  /// Workload specs embed their trace hash in the spec key, so workers
-  /// replaying different trace bytes produce different grid hashes and the
-  /// merge refuses to combine them.
-  std::vector<WorkloadOutcome> workload_grid(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<WorkloadSpec>& specs);
-  /// CMP co-simulation grids: like workload grids, the access-trace hash
-  /// rides each spec key, so mismatched trace bytes fail the merge.
-  std::vector<CmpOutcome> cmp_grid(const std::string& name,
-                                   ExperimentRunner& runner,
-                                   const std::vector<CmpSpec>& specs);
+  /// A sharded grid of any experiment kind (ExperimentKind). `name` must
+  /// be unique within the harness and identical across its workers. In
+  /// worker mode, cells not owned by this shard come back with run.ok ==
+  /// false and an informative error (the harness never renders them). In
+  /// render mode, canonical saturation outcomes also prime the runner's
+  /// saturation() cache. Workload and cmp specs embed their trace hash in
+  /// the spec key, so workers replaying different trace bytes produce
+  /// different grid hashes and the merge refuses to combine them.
+  template <class Spec>
+  std::vector<OutcomeOf<Spec>> grid(const std::string& name,
+                                    ExperimentRunner& runner,
+                                    const std::vector<Spec>& specs) {
+    return run_grid(name, runner, specs, /*shared=*/false);
+  }
 
   /// Worker mode: writes the "done" record, prints a one-line summary to
   /// stderr, and returns the process exit code (1 if any owned cell
@@ -249,21 +237,26 @@ class ShardedSweep {
   int finish();
 
  private:
-  template <typename Traits>
-  std::vector<typename Traits::Outcome> run_grid(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<typename Traits::Spec>& specs, bool shared = false);
+  /// Executes a grid according to the mode; `shared` marks an anchor grid
+  /// (see SweepGrid). Explicitly instantiated for every kind in sweep.cpp.
+  template <class Spec>
+  std::vector<OutcomeOf<Spec>> run_grid(const std::string& name,
+                                        ExperimentRunner& runner,
+                                        const std::vector<Spec>& specs,
+                                        bool shared);
 
   /// Reads a whole grid's outcomes out of `src` (a loaded --from or
   /// --anchors-from file), validating grid identity and per-cell keys.
   /// `strict` — used for anchors, whose results feed downstream spec
   /// construction — turns missing or failed cells into ConfigError instead
   /// of failed outcomes.
-  template <typename Traits>
-  std::vector<typename Traits::Outcome> load_grid(
-      const ShardFile& src, const std::string& origin, const SweepGrid& grid,
-      const std::vector<std::string>& keys,
-      const std::vector<typename Traits::Spec>& specs, bool strict);
+  template <class Spec>
+  std::vector<OutcomeOf<Spec>> load_grid(const ShardFile& src,
+                                         const std::string& origin,
+                                         const SweepGrid& grid,
+                                         const std::vector<std::string>& keys,
+                                         const std::vector<Spec>& specs,
+                                         bool strict);
 
   /// options_.batch with "/<name>" appended to a non-empty progress label,
   /// so live progress lines identify the grid being executed.

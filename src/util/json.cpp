@@ -19,6 +19,10 @@ namespace {
 
 }  // namespace
 
+void Json::range_error(const std::string& value) {
+  throw ConfigError("JSON integer " + value + " is out of range for its field");
+}
+
 Json Json::array() {
   Json value;
   value.kind_ = Kind::kArray;

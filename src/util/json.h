@@ -14,9 +14,11 @@
 //     never yields a half-parsed value.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,6 +67,20 @@ class Json {
   std::int64_t as_i64() const;
   std::uint64_t as_u64() const;
   const std::string& as_string() const;
+  /// An integer narrowed to T, for fields narrower than 64 bits; throws
+  /// ConfigError when the value does not fit rather than truncating it.
+  template <std::integral T>
+  T as_int() const {
+    if constexpr (std::is_signed_v<T>) {
+      const std::int64_t value = as_i64();
+      if (std::in_range<T>(value)) return static_cast<T>(value);
+      range_error(std::to_string(value));
+    } else {
+      const std::uint64_t value = as_u64();
+      if (std::in_range<T>(value)) return static_cast<T>(value);
+      range_error(std::to_string(value));
+    }
+  }
 
   /// Array access.
   const std::vector<Json>& items() const;
@@ -78,6 +94,8 @@ class Json {
   const Json& at(std::string_view key) const;    ///< throws when absent
 
  private:
+  [[noreturn]] static void range_error(const std::string& value);
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double double_ = 0.0;

@@ -139,6 +139,12 @@ TEST(SerializationTest, FailedOutcomeOmitsResult) {
   // The round trip yields the default result, as the in-process path does
   // for failed cells.
   EXPECT_EQ(back.result.mean_latency_ns, 0.0);
+  // An attempt count too wide for its field is rejected, not truncated.
+  util::Json wide = util::json_parse(util::json_write(json));
+  util::Json run = wide.at("run");
+  run.set("attempts", std::uint64_t{4294967297});
+  wide.set("run", run);
+  EXPECT_THROW(latency_outcome_from_json(wide), ConfigError);
 }
 
 TEST(SerializationTest, SpecKeysAreCanonicalAndUnique) {

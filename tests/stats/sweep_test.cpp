@@ -124,6 +124,18 @@ TEST(ShardFileTest, LoaderRejectsMalformedFiles) {
   // Duplicate grid registration.
   write_text(path, std::string(kManifestLine) + kGridLine + kGridLine);
   EXPECT_THROW(load_shard_file(path), ConfigError);
+  // Integers too wide for their fields are rejected, not truncated: this
+  // manifest would otherwise read as shard 0/1, and schema 4294967298 as 2.
+  write_text(path,
+             "{\"record\":\"manifest\",\"format\":\"specnoc-sweep\","
+             "\"schema\":1,\"tool\":\"t\",\"shard\":4294967296,"
+             "\"shards\":4294967297,\"seed\":42}\n");
+  EXPECT_THROW(load_shard_file(path), ConfigError);
+  write_text(path,
+             "{\"record\":\"manifest\",\"format\":\"specnoc-sweep\","
+             "\"schema\":4294967298,\"tool\":\"t\",\"shard\":0,"
+             "\"shards\":1,\"seed\":42}\n");
+  EXPECT_THROW(load_shard_file(path), ConfigError);
   // Error messages carry the offending line number.
   write_text(path, std::string(kManifestLine) + kGridLine +
                        outcome_line(0, "maybe"));
@@ -290,7 +302,7 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
 
   ExperimentRunner ref_runner(cfg, 42);
   ShardedSweep ref_sweep(base_options(SweepMode::kRun));
-  const auto reference = ref_sweep.latency_sweep("latency", ref_runner, specs);
+  const auto reference = ref_sweep.grid("latency", ref_runner, specs);
   EXPECT_EQ(ref_sweep.finish(), 0);
 
   constexpr unsigned kShards = 2;
@@ -303,7 +315,7 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
     EXPECT_FALSE(sweep.should_render());
-    const auto outcomes = sweep.latency_sweep("latency", runner, specs);
+    const auto outcomes = sweep.grid("latency", runner, specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     // Non-owned cells are marked, never silently zero-filled.
     const sim::ShardPlan plan(kShards);
@@ -333,7 +345,7 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
   ShardedSweep render_sweep(render_options);
   EXPECT_TRUE(render_sweep.should_render());
   const auto rendered =
-      render_sweep.latency_sweep("latency", render_runner, specs);
+      render_sweep.grid("latency", render_runner, specs);
   EXPECT_EQ(render_sweep.finish(), 0);
 
   ASSERT_EQ(rendered.size(), reference.size());
@@ -369,7 +381,7 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
 
   ExperimentRunner ref_runner(cfg, 42);
   ShardedSweep ref_sweep(base_options(SweepMode::kRun));
-  const auto reference = ref_sweep.workload_grid("workload", ref_runner,
+  const auto reference = ref_sweep.grid("workload", ref_runner,
                                                  specs);
   EXPECT_EQ(ref_sweep.finish(), 0);
 
@@ -382,7 +394,7 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
     write_text(options.out_path, "");
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
-    const auto outcomes = sweep.workload_grid("workload", runner, specs);
+    const auto outcomes = sweep.grid("workload", runner, specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(load_shard_file(options.out_path));
@@ -399,7 +411,7 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
   ExperimentRunner render_runner(cfg, 42);
   ShardedSweep render_sweep(render_options);
   const auto rendered =
-      render_sweep.workload_grid("workload", render_runner, specs);
+      render_sweep.grid("workload", render_runner, specs);
   EXPECT_EQ(render_sweep.finish(), 0);
 
   ASSERT_EQ(rendered.size(), reference.size());
@@ -451,7 +463,7 @@ TEST(ShardedSweepTest, WorkerResumesCompletedCellsWithoutRerunning) {
 
   ExperimentRunner runner(cfg, 42);
   ShardedSweep sweep(options);
-  const auto outcomes = sweep.latency_sweep("latency", runner, specs);
+  const auto outcomes = sweep.grid("latency", runner, specs);
   EXPECT_EQ(sweep.finish(), 0);
 
   // Cell 0 was carried over verbatim (the sentinel survives — it was not
@@ -513,10 +525,10 @@ TEST(ShardedSweepTest, RenderValidatesManifestAndGridIdentity) {
     options.from_path = path;
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
-    EXPECT_THROW(sweep.latency_sweep("other", runner, specs), ConfigError);
+    EXPECT_THROW(sweep.grid("other", runner, specs), ConfigError);
     auto changed = specs;
     changed[0].injected_flits_per_ns = 0.07;
-    EXPECT_THROW(sweep.latency_sweep("latency", runner, changed), ConfigError);
+    EXPECT_THROW(sweep.grid("latency", runner, changed), ConfigError);
   }
   {
     // Cells missing from a partial merge render as failed outcomes, not
@@ -525,7 +537,7 @@ TEST(ShardedSweepTest, RenderValidatesManifestAndGridIdentity) {
     options.from_path = path;
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
-    const auto outcomes = sweep.latency_sweep("latency", runner, specs);
+    const auto outcomes = sweep.grid("latency", runner, specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     for (const auto& outcome : outcomes) {
       EXPECT_FALSE(outcome.run.ok);
@@ -602,7 +614,7 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
   ShardedSweep ref_sweep(base_options(SweepMode::kRun));
   const auto ref_anchors = ref_sweep.anchor_saturation(ref_runner, sat_specs);
   const auto lat_specs = derived_latency_grid(sat_specs, ref_anchors);
-  const auto reference = ref_sweep.latency_sweep("latency", ref_runner,
+  const auto reference = ref_sweep.grid("latency", ref_runner,
                                                  lat_specs);
 
   // Phase 1: anchors only, sharded across 2 workers.
@@ -662,7 +674,7 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
                 ref_anchors[i].result.injected_flits_per_ns);
     }
     const auto derived = derived_latency_grid(sat_specs, anchors);
-    sweep.latency_sweep("latency", runner, derived);
+    sweep.grid("latency", runner, derived);
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(load_shard_file(options.out_path));
   }
@@ -679,7 +691,7 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
   ShardedSweep render_sweep(render_options);
   const auto rendered_anchors =
       render_sweep.anchor_saturation(render_runner, sat_specs);
-  const auto rendered = render_sweep.latency_sweep(
+  const auto rendered = render_sweep.grid(
       "latency", render_runner,
       derived_latency_grid(sat_specs, rendered_anchors));
   ASSERT_EQ(rendered.size(), reference.size());
@@ -883,7 +895,7 @@ TEST(ShardedSweepTest, RenderPrimesSaturationCache) {
   options.from_path = path;
   ExperimentRunner runner(cfg, 42);
   ShardedSweep sweep(options);
-  const auto outcomes = sweep.saturation_grid("throughput", runner, specs);
+  const auto outcomes = sweep.grid("throughput", runner, specs);
   ASSERT_TRUE(outcomes[0].run.ok);
   // saturation() now hits the primed cache — the sentinel value comes back
   // instead of a fresh simulation's.

@@ -123,6 +123,14 @@ TEST(JsonTest, IntegerConversionsRejectLossy) {
   EXPECT_THROW(json_parse("-1").as_u64(), ConfigError);
   EXPECT_THROW(json_parse("18446744073709551615").as_i64(), ConfigError);
   EXPECT_EQ(json_parse("-1").as_i64(), -1);
+  // Narrowing to a field's own width is checked too, never truncated.
+  EXPECT_THROW(json_parse("4294967296").as_int<std::uint32_t>(), ConfigError);
+  EXPECT_EQ(json_parse("4294967295").as_int<std::uint32_t>(), 4294967295u);
+  EXPECT_THROW(json_parse("-1").as_int<unsigned>(), ConfigError);
+  EXPECT_THROW(json_parse("2147483648").as_int<std::int32_t>(), ConfigError);
+  EXPECT_THROW(json_parse("-2147483649").as_int<std::int32_t>(), ConfigError);
+  EXPECT_EQ(json_parse("-2147483648").as_int<std::int32_t>(),
+            std::numeric_limits<std::int32_t>::min());
 }
 
 }  // namespace

@@ -127,6 +127,29 @@ TEST(TraceTest, ParserRejectsMalformedStreams) {
     std::istringstream in(tampered);
     EXPECT_THROW(read_trace(in, "count"), ConfigError);
   }
+  // Integers that do not fit their 32-bit fields are rejected, not
+  // truncated (4294967304 would wrap to n=8, 4294967296 to src 0), and
+  // the error names the offending line.
+  const auto expect_rejected = [&](const std::string& field,
+                                   const std::string& wide,
+                                   const std::string& line) {
+    std::string tampered = good;
+    const auto pos = tampered.find(field);
+    ASSERT_NE(pos, std::string::npos) << field;
+    tampered.replace(pos, field.size(), wide);
+    std::istringstream in(tampered);
+    try {
+      read_trace(in, "range");
+      ADD_FAILURE() << wide << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("range:" + line),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("\"n\":8", "\"n\":4294967304", "1");
+  expect_rejected("\"src\":0", "\"src\":4294967296", "2");
+  expect_rejected("\"size\":5", "\"size\":4294967301", "2");
 }
 
 Trace large_trace() {
